@@ -435,8 +435,9 @@ class DecompositionEngine:
         if self._submemo_active:
             self.stats.submemo = dict(self._submemo_counters)
             if self._submemo_store is not None:
-                # One-shot workers exit right after the payload ships;
-                # write-behind remote entries must be flushed first.
+                # A pool worker may exit right after the payload ships
+                # (retired or stopped); write-behind remote entries must
+                # be flushed first.
                 self._submemo_store.flush()
         return net
 

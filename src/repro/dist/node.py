@@ -2,9 +2,10 @@
 
 A node is deliberately thin: it accepts a coordinator session, receives
 jobs one frame at a time, and runs **each job through a local
-:class:`~repro.runtime.scheduler.BatchScheduler`** (``workers=1``, one
-scheduler per job, up to ``workers`` concurrently via a thread pool).
-That reuse is the whole point — the node inherits the exact
+:class:`~repro.runtime.scheduler.BatchScheduler`** (one scheduler per
+job, up to ``workers`` concurrently via a thread pool), all of them on
+one :class:`~repro.runtime.pool.WorkerPool` held for the session.  That
+reuse is the whole point — the node inherits the exact
 timeout/hang/crash/degrade failure ladder and produces the exact
 :meth:`~repro.runtime.scheduler.JobResult.as_dict` row shape of a
 single-host run, so the coordinator's merged output is byte-identical
@@ -72,7 +73,7 @@ from repro.dist.wire import (
     retry_backoff,
     send_frame,
 )
-from repro.runtime.pool import ProgressEvent, resolve_workers
+from repro.runtime.pool import ProgressEvent, WorkerPool, resolve_workers
 from repro.runtime.scheduler import BatchScheduler
 
 #: Handshake budget when dialing a coordinator to join.
@@ -288,8 +289,15 @@ class NodeServer:
         scheduler_cfg = hello.get("scheduler") or {}
         if greet:
             send({"op": "hello", "ok": True, "workers": self.workers})
-        pool = ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="repro-dist-job")
+        # One pool for the session, spawned after _make_cache set the
+        # environment its workers must inherit.
+        pool = WorkerPool(
+            self.workers,
+            heartbeat_s=scheduler_cfg.get("heartbeat_s", self.heartbeat_s),
+            hang_grace_s=scheduler_cfg.get("hang_grace_s",
+                                           self.hang_grace_s))
+        threads = ThreadPoolExecutor(max_workers=self.workers,
+                                     thread_name_prefix="repro-dist-job")
         saw_bye = False
         try:
             while alive.is_set():
@@ -308,11 +316,12 @@ class NodeServer:
                 # os._exit — the process vanishes mid-shard, which is
                 # exactly the loss the coordinator must tolerate.
                 faults.fault_point("node.loss")
-                pool.submit(self._run_job, int(frame["index"]),
-                            dict(frame["job"]), scheduler_cfg, cache,
-                            send)
+                threads.submit(self._run_job, int(frame["index"]),
+                               dict(frame["job"]), scheduler_cfg, pool,
+                               cache, send)
         finally:
-            pool.shutdown(wait=True)
+            threads.shutdown(wait=True)
+            pool.shutdown()
             if cache is not None:
                 cache.close()
         return saw_bye
@@ -321,7 +330,7 @@ class NodeServer:
                     spec: Optional[Dict[str, Any]]) -> Optional[RemoteCache]:
         if not spec:
             return None
-        # Job workers forked by the per-job scheduler read this env to
+        # The session's pool workers inherit this env and read it to
         # attach the shared store as their sub-ISF memo's remote layer
         # (:mod:`repro.decomp.submemo`): one node's decomposition of a
         # subfunction becomes every node's splice.  Rows stay identical
@@ -331,17 +340,15 @@ class NodeServer:
         return RemoteCache(str(spec["host"]), int(spec["port"]))
 
     def _run_job(self, index: int, job: Dict[str, Any],
-                 cfg: Dict[str, Any], cache: Optional[RemoteCache],
-                 send) -> None:
+                 cfg: Dict[str, Any], pool: WorkerPool,
+                 cache: Optional[RemoteCache], send) -> None:
         """One job through the full local failure ladder."""
         scheduler = BatchScheduler(
-            workers=1,
             timeout=cfg.get("timeout", self.timeout),
             retries=int(cfg.get("retries", self.retries)),
             cache=cache,
             degrade=bool(cfg.get("degrade", True)),
-            heartbeat_s=cfg.get("heartbeat_s", self.heartbeat_s),
-            hang_grace_s=cfg.get("hang_grace_s", self.hang_grace_s))
+            pool=pool)
 
         def relay(event: ProgressEvent) -> None:
             data = event.as_dict()

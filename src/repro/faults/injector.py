@@ -352,9 +352,10 @@ def counters() -> Dict[str, int]:
 def reset_in_worker() -> None:
     """Re-arm from the environment with fresh arrival counters.
 
-    Called at worker-process entry so every attempt counts arrivals from
-    1 regardless of what the (forked) parent already consumed — this is
-    what makes ``nth`` deterministic per attempt.
+    Called at worker-process entry and before every job a worker runs,
+    so every attempt counts arrivals from 1 regardless of what the
+    (forked) parent or an earlier job already consumed — this is what
+    makes ``nth`` deterministic per attempt.
     """
     global _env_snapshot, _plan
     _env_snapshot = ("<never>",)

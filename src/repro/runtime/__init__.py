@@ -3,21 +3,21 @@
 Three pillars (see ``docs/RUNTIME.md`` for the design discussion):
 
 * :mod:`repro.runtime.scheduler` — a :class:`BatchScheduler` that fans
-  decomposition jobs out over worker processes with per-job wall-clock
-  timeouts, bounded crash retries and graceful degradation to the
-  trivial Shannon/MUX mapping;
+  decomposition jobs out over a worker pool in submission order, with
+  per-job wall-clock timeouts, bounded crash retries and graceful
+  degradation to the trivial Shannon/MUX mapping;
 * :mod:`repro.runtime.cache` — a content-addressed on-disk
   :class:`ResultCache` (``canonical_key`` + flow + engine config + code
   version) with an in-memory LRU front, behind ``repro cache
   {stats,clear}``;
 * :mod:`repro.runtime.jobspec` — the JSON-able job wire format, manifest
-  parsing and the worker entry point (with its heartbeat thread);
+  parsing and the worker-side job execution (with its heartbeat thread);
 * :mod:`repro.runtime.journal` — the crash-safe write-ahead
   :class:`BatchJournal` behind ``repro batch --journal/--resume``;
-* :mod:`repro.runtime.pool` — the shared worker-process primitives
-  (pipe drain/heartbeats, process hygiene, :class:`ProgressEvent`
-  callbacks) plus the persistent :class:`WorkerPool` with warm
-  per-worker function memos that ``repro serve`` multiplexes onto.
+* :mod:`repro.runtime.pool` — the persistent :class:`WorkerPool` with
+  warm per-worker function memos that batch, ``repro serve`` and dist
+  nodes all run on, the :class:`ProgressEvent` callbacks, and
+  :func:`settle`, the failure ladder they share.
 
 Quickstart::
 
@@ -53,6 +53,7 @@ from repro.runtime.pool import (
     WorkerCrash,
     WorkerPool,
     resolve_workers,
+    settle,
 )
 from repro.runtime.journal import (
     BatchJournal,
@@ -77,6 +78,7 @@ __all__ = [
     "WorkerCrash",
     "WorkerPool",
     "resolve_workers",
+    "settle",
     "BatchJournal",
     "JournalError",
     "journal_binding",

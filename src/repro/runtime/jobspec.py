@@ -1,19 +1,20 @@
 """Job specifications and worker-side execution for the batch runtime.
 
 A *job* is a plain JSON-able dict — that is the wire format between the
-scheduler (parent) and its worker processes, and the unit a batch
+scheduler (parent) and the pool's worker processes, and the unit a batch
 manifest describes::
 
     {"job_id": "rd84", "source": {"kind": "benchmark", "name": "rd84"},
      "flow": "map", "config": {"use_dontcares": True}, ...}
 
-Workers never share BDD managers with the parent: each attempt rebuilds
-the function from the job's ``wire`` payload (a
+Workers never share BDD managers with the parent: a worker builds the
+function from the job's ``wire`` payload (a
 :meth:`~repro.boolfunc.spec.MultiFunction.to_wire` dump, preferred) or
-from its source descriptor, runs the flow, verifies the mapped network
-and ships a JSON-able result back.  Rebuilding from scratch is what
-makes parallel results bit-identical to serial runs — same code path,
-same fresh manager, no shared mutable state.
+from its source descriptor, runs the flow on a fresh engine, verifies
+the mapped network and ships a JSON-able result back
+(:func:`execute_job`).  The same code path in every worker, with no
+mutable state shared with the parent, is what makes parallel results
+bit-identical to serial runs.
 
 Source descriptor kinds
 -----------------------
@@ -130,6 +131,13 @@ def build_function(source: Dict[str, Any]) -> MultiFunction:
     raise ValueError(f"unknown source kind {kind!r}")
 
 
+def job_function(job: Dict[str, Any]) -> MultiFunction:
+    """A job's function: from its shipped wire dump, else its source."""
+    if job.get("wire"):
+        return MultiFunction.from_wire(job["wire"])
+    return build_function(job["source"])
+
+
 def source_from_name(name: str) -> Dict[str, Any]:
     """Descriptor for a bare circuit name (registry or generator)."""
     from repro.bench.registry import BENCHMARKS
@@ -238,24 +246,19 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
     """Run one job to completion in the current process.
 
     Returns ``{"status": "ok", "result": <record>}``; any exception is
-    the caller's to handle (the worker entry point converts it into a
-    ``failed`` payload, the scheduler into a retry/degrade decision).
+    the caller's to handle (the pool worker converts it into a
+    ``failed`` payload, the scheduler into a degrade decision).
 
     ``build`` overrides how the :class:`MultiFunction` is obtained —
     persistent pool workers pass a memoising builder so repeat sources
     reuse an already-built function (and its warm BDD manager) instead
     of rebuilding from the wire dump.  It runs *after* the
-    ``worker.start`` fault site and test hooks, preserving the
-    per-attempt chaos ordering of one-shot workers.
+    ``worker.start`` fault site and test hooks, so the per-attempt
+    chaos ordering does not depend on whether the function was warm.
     """
     faults.fault_point("worker.start")
     _apply_test_hook(job.get("test_hook"), attempt)
-    if build is not None:
-        func = build(job)
-    elif job.get("wire"):
-        func = MultiFunction.from_wire(job["wire"])
-    else:
-        func = build_function(job["source"])
+    func = (build or job_function)(job)
     pulse()  # liveness checkpoint: function built, flow starting
     config = job.get("config") or {}
     verify = config.get("verify", True)
@@ -336,31 +339,3 @@ def start_beat_thread(conn, send_lock: threading.Lock,
     thread.start()
     return stop
 
-
-def worker_entry(conn, job: Dict[str, Any], attempt: int,
-                 heartbeat_s: Optional[float] = None) -> None:
-    """Process entry point: execute and ship the payload over ``conn``.
-
-    With ``heartbeat_s`` set, a daemon thread reports liveness beats
-    alongside the final payload (same pipe, send-lock serialized).
-    """
-    # Forked workers inherit the parent's fault-arrival counters; each
-    # attempt must count its own arrivals for nth-firing determinism.
-    faults.reset_in_worker()
-    send_lock = threading.Lock()
-    stop = None
-    if heartbeat_s is not None and heartbeat_s > 0:
-        stop = start_beat_thread(conn, send_lock, heartbeat_s)
-    try:
-        payload = execute_job(job, attempt)
-    except BaseException as exc:  # noqa: BLE001 — report, don't die silently
-        payload = {"status": "failed",
-                   "error": f"{type(exc).__name__}: {exc}"}
-    if stop is not None:
-        stop.set()
-    try:
-        with send_lock:
-            conn.send(payload)
-        conn.close()
-    except (BrokenPipeError, OSError):
-        pass

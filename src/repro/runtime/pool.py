@@ -1,38 +1,38 @@
-"""Worker-pool primitives shared by the batch scheduler and `repro serve`.
+"""The persistent worker pool: the one execution core of every tier.
 
-This module is the extraction layer between the two execution tiers:
+:class:`WorkerPool` keeps N long-lived worker processes fed over duplex
+pipes, one job at a time each.  The batch scheduler
+(:class:`~repro.runtime.scheduler.BatchScheduler`) runs each batch on
+one, ``repro serve`` keeps one for the daemon's life and a ``repro dist
+serve-node`` one per coordinator session: a fork and cold start per job
+would cost as much as a small decomposition.
 
-* the **batch tier** (:class:`~repro.runtime.scheduler.BatchScheduler`)
-  keeps its one-process-per-attempt model — a crash or timeout is
-  contained by construction — and consumes the low-level pieces here:
-  pipe draining with heartbeat bookkeeping (:func:`drain_messages`),
-  process hygiene (:func:`kill_process` / :func:`reap_process`), worker
-  count clamping (:func:`resolve_workers`) and the
-  :class:`ProgressEvent` callback API;
-* the **service tier** (:mod:`repro.serve`) needs warm workers — paying
-  interpreter startup and module import per request would dominate
-  small decompositions — so :class:`WorkerPool` keeps N long-lived
-  worker processes fed over duplex pipes, one job at a time each, with
-  the same heartbeat/hang/timeout story as the batch tier.
-
-Persistent workers stay **bit-identical** to the batch tier because the
-unit of determinism is the job, not the process: every job rebuilds (or
-reuses a memoised copy of) its :class:`MultiFunction` and runs a fresh
-engine whose per-run memos are cleared on reset.  What persists across
-jobs is the *warm* state that is semantically inert but expensive to
-recreate: the imported modules, and a small per-worker LRU of built
-functions whose BDD managers (unique/computed tables) stay hot for
-repeat sources.  Fault-arrival counters are re-armed per job
+Persistent workers stay **bit-identical** to a fresh process because
+the unit of determinism is the job, not the process: every job rebuilds
+(or reuses a memoised copy of) its :class:`MultiFunction` and runs a
+fresh engine whose per-run memos are cleared on reset.  What persists
+across jobs is the *warm* state that is semantically inert but
+expensive to recreate: the imported modules, and a small per-worker LRU
+of built functions whose BDD managers (unique/computed tables) stay hot
+for repeat sources.  Fault-arrival counters are re-armed per job
 (:func:`repro.faults.reset_in_worker`) so ``nth`` chaos schedules stay
-deterministic per attempt, exactly as with one-shot workers.
+deterministic per attempt.
 
-Failure containment mirrors the scheduler: a worker that crashes,
-times out or goes heartbeat-silent is killed and reaped *inside the
-pool*; the submitter's future fails with a typed :class:`PoolError`
-(:class:`WorkerCrash` / :class:`JobTimeout` / :class:`JobHung`) and the
-pool respawns capacity on demand.  No worker failure can escape as an
-unhandled exception in the dispatcher thread, and ``shutdown`` leaves
-no live worker behind.
+A worker starts by letting go of the sockets it inherited from its
+parent, so that it keeps no connection open that is not its own — and
+sees EOF, and exits, when its parent is killed.
+
+Containment contract: a worker that crashes, times out or goes
+heartbeat-silent is killed and reaped *inside the pool*, and a worker
+whose job failed (an exception or a verification mismatch) retires
+itself after reporting, since a fault in the middle of a BDD operation
+may have left its warm state half-built.  Either way the submitter's
+future settles — with the ``failed`` payload or a typed
+:class:`PoolError` (:class:`WorkerCrash` / :class:`JobTimeout` /
+:class:`JobHung`) — and the pool respawns capacity on demand.  No
+worker failure can escape the dispatcher thread, and ``shutdown``
+leaves no live worker behind.  What a failed attempt means is decided
+by :func:`settle`, the one failure ladder of batch, serve and dist.
 """
 
 from __future__ import annotations
@@ -42,17 +42,18 @@ import json
 import multiprocessing
 import os
 import socket
+import stat
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 
-#: Hard floor for poll intervals (seconds) — shared with the scheduler.
+#: Hard floor for the dispatcher's poll interval (seconds).
 POLL_S = 0.05
 
 #: Default cap applied to auto-detected worker counts.
@@ -147,7 +148,7 @@ def emit_event(sink: Optional[EventSink], event: ProgressEvent) -> None:
 
 
 # ---------------------------------------------------------------------
-# Shared pipe/process plumbing
+# Pipe/process plumbing
 # ---------------------------------------------------------------------
 
 def drain_messages(entry: Any) -> int:
@@ -156,9 +157,8 @@ def drain_messages(entry: Any) -> int:
     Heartbeat messages update the liveness bookkeeping
     (``last_beat``/``beats``/``phase`` attributes); the first
     non-heartbeat message sticks to ``entry.payload``.  Returns the
-    number of new beats seen (callers turn those into ``beat``
-    progress events).  Used by both the batch scheduler's ``_drain``
-    and the persistent pool's dispatcher.
+    number of new beats seen (the dispatcher turns those into ``beat``
+    progress events).
     """
     new_beats = 0
     try:
@@ -245,6 +245,57 @@ class PoolClosed(PoolError):
 
 
 # ---------------------------------------------------------------------
+# The failure ladder
+# ---------------------------------------------------------------------
+
+def attempt_outcome(payload: Any = None,
+                    error: Optional[BaseException] = None
+                    ) -> Tuple[str, Optional[str]]:
+    """Classify one finished attempt for :func:`settle`, with the
+    ``error`` text of a job that does not settle ``ok``.
+
+    ``error`` is what the attempt raised instead of delivering a
+    payload: :class:`JobTimeout` is ``"timeout"``, :class:`JobHung`
+    ``"hang"``, :class:`PoolClosed` ``"closed"``; anything else (a
+    :class:`WorkerCrash`, an injected fault at the dispatch boundary, a
+    ``MemoryError``) is ``"crash"``.  A delivered payload is ``"ok"``
+    or, for a worker exception or a verification mismatch, ``"error"``.
+    """
+    if error is None:
+        if payload.get("status") == "ok":
+            return "ok", None
+        return "error", payload.get("error", "job failed")
+    if isinstance(error, JobHung):
+        return "hang", str(error)
+    if isinstance(error, JobTimeout):
+        return "timeout", str(error)
+    if isinstance(error, PoolClosed):
+        return "closed", str(error)
+    return "crash", f"{error}, retries exhausted"
+
+
+def settle(outcome: str, attempt: int, retries: int,
+           degrade: bool = True) -> str:
+    """The failure ladder: ``"ok" | "retry" | "degrade" | "fail"``.
+
+    Only a crash is transient (OOM kills, signals), so only a crash is
+    retried, while ``attempt`` (1-based) is within ``retries`` extra
+    attempts.  A timeout, a hang, a worker exception or a verification
+    mismatch is deterministic and degrades at once, as does a crash
+    with its retries used up.  With ``degrade`` off every degrade is a
+    ``"fail"``; a closed pool always fails.  Backoff between attempts
+    is the caller's.
+    """
+    if outcome == "ok":
+        return "ok"
+    if outcome == "crash" and attempt <= retries:
+        return "retry"
+    if outcome == "closed" or not degrade:
+        return "fail"
+    return "degrade"
+
+
+# ---------------------------------------------------------------------
 # Persistent worker side
 # ---------------------------------------------------------------------
 
@@ -277,16 +328,43 @@ def warm_key(job: Dict[str, Any]) -> Optional[str]:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every socket a forked worker inherited, but ``keep``, at
+    /dev/null: the parent's pipe ends and connections would otherwise
+    stay open as long as the worker lives, so no peer — and no worker,
+    when its parent is killed — would ever see EOF.  Not closed, so a
+    descriptor never passes to a new file under an inherited object.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:
+        return  # no descriptor listing on this platform
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # closed since the listing (the listing's own fd)
+    finally:
+        os.close(devnull)
+
+
 def pool_worker_entry(conn: Any, heartbeat_s: Optional[float] = 1.0,
                       warm_limit: Optional[int] = None) -> None:
     """Long-lived worker loop: receive a job, run it, ship the payload.
 
     Each job re-arms fault counters (``nth`` determinism per attempt)
-    and runs through :func:`repro.runtime.jobspec.execute_job` exactly
-    like a one-shot batch worker; what persists is the process (imports)
-    and a bounded LRU of built functions whose BDD managers stay warm
-    for repeat sources.  A ``{"stop": True}`` message (or a closed pipe)
-    ends the loop.
+    and runs through :func:`repro.runtime.jobspec.execute_job`; what
+    persists is the process (imports) and a bounded LRU of built
+    functions whose BDD managers stay warm for repeat sources.  A
+    ``{"stop": True}`` message (or a closed pipe) ends the loop, and so
+    does any payload that is not ``ok``: the worker retires rather than
+    serve the next job from state a failed one may have left
+    half-built.
     """
     from repro.runtime import jobspec
 
@@ -304,17 +382,14 @@ def pool_worker_entry(conn: Any, heartbeat_s: Optional[float] = 1.0,
                 warm.move_to_end(key)
                 build.warm_hit = True  # type: ignore[attr-defined]
                 return func
-        if job.get("wire"):
-            from repro.boolfunc.spec import MultiFunction
-            func = MultiFunction.from_wire(job["wire"])
-        else:
-            func = jobspec.build_function(job["source"])
+        func = jobspec.job_function(job)
         if key is not None:
             warm[key] = func
             while len(warm) > warm_limit:
                 warm.popitem(last=False)
         return func
 
+    _release_inherited_sockets(keep=conn.fileno())
     while True:
         try:
             message = conn.recv()
@@ -344,6 +419,8 @@ def pool_worker_entry(conn: Any, heartbeat_s: Optional[float] = 1.0,
                 conn.send(envelope)
         except (BrokenPipeError, OSError):
             return
+        if payload.get("status") != "ok":
+            break
     try:
         conn.close()
     except OSError:
@@ -362,6 +439,7 @@ class _Ticket:
     future: Future
     timeout: Optional[float]
     on_event: Optional[EventSink] = None
+    attempt: int = 1
     seq: int = 0
 
 
@@ -433,6 +511,13 @@ class WorkerPool:
         #: Sub-ISF memo counters summed over worker payloads (feeds the
         #: service tier's ``GET /metrics``).
         self.submemo_totals: Dict[str, int] = {}
+        # Fork the first workers before the dispatcher thread exists: a
+        # fork while another thread is inside an import hands the child
+        # that module's lock, held forever.
+        for _ in range(self.workers):
+            worker = self._spawn()
+            if worker is not None:
+                self._pool.append(worker)
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._thread = threading.Thread(target=self._loop,
@@ -441,10 +526,14 @@ class WorkerPool:
 
     # -- public API -----------------------------------------------------
 
-    def submit(self, job: Dict[str, Any], *,
+    def submit(self, job: Dict[str, Any], *, attempt: int = 1,
                timeout: Optional[float] = None,
                on_event: Optional[EventSink] = None) -> Future:
-        """Queue ``job`` for the next idle worker; never blocks."""
+        """Queue ``job`` for the next idle worker; never blocks.
+
+        ``attempt`` (1-based) reaches the worker, where ``crash:<n>``
+        test hooks count it, and rides every progress event.
+        """
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -452,7 +541,7 @@ class WorkerPool:
             ticket = _Ticket(job=job, future=future,
                              timeout=(self.default_timeout
                                       if timeout is None else timeout),
-                             on_event=on_event)
+                             on_event=on_event, attempt=attempt)
             self._queue.append(ticket)
         self._wake()
         return future
@@ -563,8 +652,8 @@ class WorkerPool:
             idle.deadline = (now + ticket.timeout
                              if ticket.timeout is not None else None)
             try:
-                idle.conn.send({"job": ticket.job, "attempt":
-                                ticket.job.get("attempt", 1),
+                idle.conn.send({"job": ticket.job,
+                                "attempt": ticket.attempt,
                                 "seq": ticket.seq})
             except (BrokenPipeError, OSError):
                 # Worker died between jobs: replace it and retry the
@@ -578,7 +667,7 @@ class WorkerPool:
             self.dispatched += 1
             emit_event(ticket.on_event, ProgressEvent(
                 kind="dispatch", job_id=ticket.job.get("job_id", "?"),
-                attempt=ticket.job.get("attempt", 1)))
+                attempt=ticket.attempt))
 
     def _fail(self, worker: _Worker, error: PoolError,
               kill: bool) -> None:
@@ -607,15 +696,20 @@ class WorkerPool:
             worker.payload = None
             worker.ticket = None
             self.completed += 1
-            if isinstance(envelope, dict) and envelope.get("warm"):
+            if envelope.get("warm"):
                 self.warm_hits += 1
-            payload = (envelope.get("payload")
-                       if isinstance(envelope, dict) else envelope)
-            if isinstance(payload, dict):
-                for name, count in (payload.get("submemo")
-                                    or {}).items():
-                    self.submemo_totals[name] = \
-                        self.submemo_totals.get(name, 0) + int(count)
+            payload = envelope["payload"]
+            for name, count in (payload.get("submemo") or {}).items():
+                self.submemo_totals[name] = \
+                    self.submemo_totals.get(name, 0) + int(count)
+            if payload.get("status") != "ok":
+                # The worker retires after a failed job (see
+                # pool_worker_entry); reap it before the submitter hears
+                # back, so a follow-up job meets a fresh process.
+                with self._lock:
+                    self._pool.remove(worker)
+                reap_process(worker.process, worker.conn)
+                self.respawns += 1
             if not ticket.future.cancelled():
                 ticket.future.set_result(payload)
             return
@@ -685,7 +779,7 @@ class WorkerPool:
                         emit_event(ticket.on_event, ProgressEvent(
                             kind="beat",
                             job_id=ticket.job.get("job_id", "?"),
-                            attempt=ticket.job.get("attempt", 1),
+                            attempt=ticket.attempt,
                             phase=worker.phase, beats=worker.beats))
                 self._settle(worker)
 

@@ -1,79 +1,69 @@
-"""Parallel batch scheduler with timeouts, retries and degradation.
+"""Ordered, journaled batch front over the persistent worker pool.
 
-The scheduler runs decomposition jobs (see :mod:`repro.runtime.jobspec`)
-across a pool of worker *processes* — one process per attempt, so a
-wall-clock timeout or a crashed worker is contained by construction:
-the parent kills/reaps the process and the batch keeps moving.
-
-Failure policy (the "graceful degradation" contract):
-
-* **timeout** — the worker is killed and the job immediately *degrades*:
-  the parent re-runs it through the trivial Shannon/MUX mapping path
-  (``DecompositionEngine`` with a zero time budget), which is bounded by
-  the BDD size and deterministic.  No retry — a search that timed out
-  once will time out again.
-* **hang** (heartbeats enabled and silent for ``hang_grace_s``) — same
-  as a timeout, without waiting for the full wall-clock budget.  Workers
-  beat over the result pipe while the engine makes progress (phase
-  transitions bump a liveness pulse; the beat thread only speaks while
-  the pulse advances), so a worker stuck in a sleep or a dead loop goes
-  silent and is killed early, while a *slow but alive* worker keeps
-  beating and is left to its wall-clock budget.  No retry — a hang is
-  not transient.
-* **worker crash** (process died without a result) — retried with a
-  jittered linear backoff up to ``retries`` times, then degraded.
-  Crashes are the transient class (OOM kills, signals), so retrying is
-  worth it; the jitter (seeded, deterministic per scheduler) spreads
-  herd retries after a shared-cause crash.
-* **worker exception** (job raised) — deterministic, so no retry: the
-  job degrades when the function can still be built, otherwise it is
-  marked ``failed`` (e.g. an unreadable PLA file).
+:class:`BatchScheduler` runs decomposition jobs (see
+:mod:`repro.runtime.jobspec`) on a :class:`~repro.runtime.pool.WorkerPool`
+of long-lived worker processes.  The pool contains failures — a worker
+that crashes, times out or goes heartbeat-silent is killed and
+respawned, and one whose job failed retires itself — and the shared
+ladder (:func:`repro.runtime.pool.settle`) decides what a failed attempt
+means: a crash is the transient class (OOM kills, signals) and is
+retried with a seeded, jittered linear backoff, then degraded; a
+timeout, a hang, a worker exception or a verification mismatch is
+deterministic and degrades at once.  *Degrading* re-runs the job in the
+parent through the trivial Shannon/MUX mapping (a zero time budget),
+which is bounded by the BDD size and verified; when even that fails
+(e.g. an unreadable PLA file) the job is ``failed``.  Hang detection
+rests on heartbeats: workers beat while the engine's liveness pulse
+advances, so a stuck worker goes silent while a slow one keeps beating.
 
 Results come back in submission order regardless of completion order,
-and each carries its own observability record (queue wait, exec time,
-cache hit, retry count, heartbeat count) for the batch metrics document.
+and each carries its own observability record for the batch metrics
+document: ``queue_wait_s`` from batch start to the first dispatch to a
+worker, ``exec_s`` from the dispatch of the attempt that produced the
+outcome to its settling (time queued in the pool never counts), cache
+hit, retry count and heartbeat count.
 
 With a :class:`~repro.runtime.cache.ResultCache` attached, the parent
-builds each function up front, keys it by content
+builds each function as it submits, keys it by content
 (:meth:`MultiFunction.canonical_key` + flow + engine config + code
 version) and skips dispatch entirely on a hit; on a miss the built
-function ships to the worker in wire form so it is not rebuilt.
+function ships to the worker in wire form so it is not rebuilt.  A
+repeat of a job already in flight in the same batch waits for that
+first occurrence and settles as a cache hit with its record — unless
+the first occurrence degrades or fails, in which case the repeat makes
+its own attempt.  The first occurrence in submission order always
+leads, so rows do not depend on the worker count.
 
 Chaos containment: the parent-side build and the degradation fallback
 run under :func:`repro.faults.suppressed`, so injected worker faults
-(``worker.mid_decomp``, ``bdd.ite``, ``kernel.dispatch``) can never
-take down the scheduler through its own recovery paths.  Parent-side
-*storage* faults (``cache.write``, ``journal.append``) stay live — they
-exercise the crash-safety story (journal + ``--resume``), not the
-containment one.  ``run`` kills and reaps every live worker on the way
-out, including on ``KeyboardInterrupt`` — no orphans.
+can never take down the scheduler through its own recovery paths;
+parent-side *storage* faults (``cache.write``, ``journal.append``) stay
+live.  ``run`` shuts its pool down on the way out, killing every live
+worker on ``KeyboardInterrupt`` or an error — no orphans.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import heapq
+import queue
 import random
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.pool import (
-    POLL_S,
     EventSink,
     ProgressEvent,
-    drain_messages,
+    WorkerPool,
+    attempt_outcome,
     emit_event,
-    kill_process,
-    reap_process,
     resolve_workers,
+    settle,
 )
-
-#: Hard floor for the scheduler's poll interval (seconds).
-_POLL_S = POLL_S
 
 
 @dataclass
@@ -178,44 +168,32 @@ def summarize(results: List[JobResult]) -> Dict[str, Any]:
 
 
 @dataclass
-class _Active:
-    """Bookkeeping for one in-flight worker process."""
+class _Slot:
+    """One job between its cache check and its settled result."""
 
     index: int
-    attempt: int
-    process: multiprocessing.Process
-    conn: Any
-    started_at: float
-    deadline: Optional[float]
-    job_id: str = "?"
-    payload: Optional[Dict[str, Any]] = None
-    retries: int = 0
-    first_dispatch: float = 0.0
-    #: Monotonic time of the last heartbeat (dispatch time until one
-    #: arrives, so the hang grace covers worker startup too).
-    last_beat: float = 0.0
-    beats: int = 0
-    #: Engine phase piggybacked on the most recent beat.
-    phase: Optional[str] = None
+    job: Dict[str, Any]
     #: Parent-side build artefacts (cache mode only).
     func: Any = None
     key: Optional[str] = None
-
-
-@dataclass
-class _Pending:
-    index: int
-    attempt: int = 1
+    #: Attempts handed to the pool so far.
+    attempt: int = 0
+    #: Crash retries consumed.
     retries: int = 0
-    #: Earliest dispatch time (crash-retry backoff).
-    not_before: float = 0.0
-    func: Any = None
-    key: Optional[str] = None
-    first_dispatch: Optional[float] = field(default=None)
+    #: Seconds from batch start to the first dispatch to a worker.
+    first_dispatch: Optional[float] = None
+    #: Monotonic time the current attempt reached a worker.
+    started_at: float = 0.0
+    #: Heartbeats of the current attempt.
+    beats: int = 0
+    #: Later jobs of the batch with the same cache key, waiting for
+    #: this one instead of computing again.
+    followers: List["_Slot"] = field(default_factory=list)
 
 
 class BatchScheduler:
-    """Run many jobs across a worker pool with bounded failure modes.
+    """Run many jobs on a persistent worker pool with bounded failure
+    modes.
 
     Parameters
     ----------
@@ -227,7 +205,8 @@ class BatchScheduler:
     retries:
         Crash retries per job before degrading.
     cache:
-        Optional :class:`ResultCache`; hits skip dispatch entirely.
+        Optional :class:`ResultCache`; hits skip dispatch entirely, and
+        repeats inside one batch wait for their first occurrence.
     degrade:
         When False, timeouts/hangs/crashes mark the job ``failed``
         instead of falling back to the trivial mapping.
@@ -238,13 +217,18 @@ class BatchScheduler:
         Seed for the backoff jitter stream (deterministic schedules in
         tests).
     heartbeat_s:
-        Interval at which workers report liveness (None disables the
-        beat thread entirely).
+        Interval at which workers report liveness (None or 0 disables
+        the beat thread entirely).
     hang_grace_s:
         Kill a worker silent for this long and degrade its job without
         retry.  None (default) disables hang detection — only the hard
         wall-clock ``timeout`` applies.  Must comfortably exceed
         ``heartbeat_s`` plus worker startup time.
+    pool:
+        Run on this :class:`WorkerPool` instead of one of our own; its
+        width, heartbeat and hang grace then apply, and :meth:`run`
+        leaves it running.  A dist node shares one pool between the
+        schedulers of its concurrent jobs this way.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -255,7 +239,8 @@ class BatchScheduler:
                  backoff_seed: int = 0,
                  heartbeat_s: Optional[float] = 1.0,
                  hang_grace_s: Optional[float] = None,
-                 mp_context: Optional[str] = None) -> None:
+                 mp_context: Optional[str] = None,
+                 pool: Optional[WorkerPool] = None) -> None:
         # None / zero / negative all clamp to the auto-detected count
         # (CPU count capped at 8) — see runtime.pool.resolve_workers.
         self.workers, _ = resolve_workers(workers)
@@ -266,16 +251,14 @@ class BatchScheduler:
         self.retry_backoff_s = retry_backoff_s
         self.heartbeat_s = heartbeat_s
         self.hang_grace_s = hang_grace_s
+        self.mp_context = mp_context
+        self.pool = pool
         self._rng = random.Random(backoff_seed)
-        self._on_event: Optional[EventSink] = None
-        #: Sub-ISF memo counters summed over workers' payloads for the
-        #: most recent :meth:`run` (rows never carry them — see
+        #: Sub-ISF memo counters summed over workers' payloads by the
+        #: pool of the most recent :meth:`run` — over the pool's whole
+        #: life when it was passed in (rows never carry them — see
         #: :mod:`repro.decomp.submemo`).
         self.submemo_totals: Dict[str, int] = {}
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
 
     # -- public entry ---------------------------------------------------
 
@@ -285,81 +268,143 @@ class BatchScheduler:
             on_event: Optional[EventSink] = None) -> List[JobResult]:
         """Execute ``jobs``; results are in submission order.
 
-        ``on_dispatch(index, attempt)`` fires just before each worker
-        process starts (the journal's start record); ``on_result`` fires
-        as each job settles, out of submission order.  ``on_event``
-        receives the full :class:`ProgressEvent` stream (``dispatch``,
-        ``beat`` with the engine phase, ``retry``, ``result``) — the
-        same API the service tier streams to clients, so batch
-        consumers and streaming endpoints share one progress contract.
+        ``on_dispatch(index, attempt)`` fires just before each attempt
+        is handed to the pool (the journal's start record); ``on_result``
+        fires as each job settles, out of submission order.
+        ``on_event`` receives the full :class:`ProgressEvent` stream
+        (``dispatch`` when a worker takes the attempt, ``beat`` with the
+        engine phase, ``retry``, ``result``) — the same API the service
+        tier streams to clients.  Every callback runs on the calling
+        thread.
         """
         started = time.monotonic()
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        queue: List[_Pending] = []
-        self._on_event = on_event
-        self.submemo_totals = {}
+        # No warm-function memo: repeats inside a batch already share one
+        # computation through the cache key, so a memoised function is
+        # seldom reused, while it keeps the BDD nodes of its last run
+        # alive in the worker (peak RSS).
+        pool = self.pool or WorkerPool(
+            min(self.workers, max(1, len(jobs))),
+            heartbeat_s=self.heartbeat_s,
+            hang_grace_s=self.hang_grace_s, warm_limit=0,
+            mp_context=self.mp_context)
+        #: (index, pool event or settled future, monotonic time), put by
+        #: the pool's dispatcher thread, handled here.
+        inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: Submitted jobs not yet settled, by index.
+        open_slots: Dict[int, _Slot] = {}
+        #: First occurrence in flight per cache key (in-batch dedup).
+        leaders: Dict[str, _Slot] = {}
+        #: Crash retries in backoff: (not before, index).
+        backoff: List[Tuple[float, int]] = []
 
-        def finish(index: int, res: JobResult) -> None:
-            res.index = index
-            results[index] = res
+        def finish(slot: _Slot, res: JobResult) -> None:
+            res.index = slot.index
+            results[slot.index] = res
             emit_event(on_event, ProgressEvent(
-                kind="result", job_id=res.job_id, index=index,
-                status=res.status, beats=res.beats,
-                detail=res.error))
+                kind="result", job_id=res.job_id, index=slot.index,
+                status=res.status, beats=res.beats, detail=res.error))
             if on_result is not None:
                 on_result(res)
 
-        for index, job in enumerate(jobs):
-            pending = _Pending(index)
-            if self.cache is not None:
-                hit = self._try_cache(job, pending)
-                if hit is not None:
-                    finish(index, hit)
-                    continue
-            queue.append(pending)
+        def submit(slot: _Slot) -> None:
+            slot.attempt += 1
+            slot.started_at = time.monotonic()
+            open_slots[slot.index] = slot
+            if on_dispatch is not None:
+                on_dispatch(slot.index, slot.attempt)
+            index = slot.index
+            future = pool.submit(
+                slot.job, attempt=slot.attempt, timeout=self.timeout,
+                on_event=lambda event: inbox.put(
+                    (index, event, time.monotonic())))
+            future.add_done_callback(lambda done: inbox.put(
+                (index, done, time.monotonic())))
 
-        active: List[_Active] = []
-        try:
-            while queue or active:
+        def handle(index: int, report: Any, at: float) -> None:
+            slot = open_slots[index]
+            if isinstance(report, ProgressEvent):
+                if report.kind == "dispatch":
+                    # exec_s counts from here, so time spent queued in
+                    # the pool is never charged to the job.
+                    slot.started_at = at
+                    slot.beats = 0
+                    if slot.first_dispatch is None:
+                        slot.first_dispatch = at - started
+                elif report.kind == "beat":
+                    slot.beats = report.beats
+                report.index = index
+                emit_event(on_event, report)
+                return
+            res = self._settle(slot, report, at, backoff, on_event)
+            if res is None:
+                return  # crash retry in backoff
+            del open_slots[index]
+            if leaders.get(slot.key) is slot:
+                del leaders[slot.key]
+            finish(slot, res)
+            for follower in slot.followers:
+                if res.status == "ok":
+                    finish(follower, self._result(
+                        follower, "ok", record=res.result, cache_hit=True))
+                else:
+                    # Degraded results are never cached or shared: the
+                    # follower makes its own attempt.
+                    submit(follower)
+
+        def pump(wait: bool) -> None:
+            """Handle the pool's reports; with ``wait``, block for at
+            least one (or a backoff expiry) first."""
+            while True:
                 now = time.monotonic()
-                while len(active) < self.workers:
-                    slot = next((p for p in queue if p.not_before <= now),
-                                None)
-                    if slot is None:
-                        break
-                    queue.remove(slot)
-                    if on_dispatch is not None:
-                        on_dispatch(slot.index, slot.attempt)
-                    emit_event(on_event, ProgressEvent(
-                        kind="dispatch",
-                        job_id=jobs[slot.index]["job_id"],
-                        index=slot.index, attempt=slot.attempt))
-                    active.append(self._dispatch(jobs, slot, started))
-                if active:
-                    self._poll(active)
-                elif queue:
-                    # Everything is in crash-retry backoff; sleep it off.
-                    time.sleep(max(_POLL_S,
-                                   min(p.not_before for p in queue) - now))
-                for entry in list(active):
-                    outcome = self._settle(jobs, entry, queue)
-                    if outcome is not None:
-                        active.remove(entry)
-                        if isinstance(outcome, JobResult):
-                            finish(entry.index, outcome)
+                while backoff and backoff[0][0] <= now:
+                    submit(open_slots[heapq.heappop(backoff)[1]])
+                timeout = max(0.0, backoff[0][0] - now) if backoff \
+                    else None
+                try:
+                    report = inbox.get(block=wait, timeout=timeout)
+                except queue.Empty:
+                    if wait:
+                        continue
+                    return
+                handle(*report)
+                wait = False
+
+        clean = False
+        try:
+            for index, job in enumerate(jobs):
+                slot = _Slot(index, job)
+                if self.cache is not None:
+                    hit = self._try_cache(slot)
+                    if hit is not None:
+                        finish(slot, hit)
+                        continue
+                    if job.get("test_hook") is None:
+                        # Chaos jobs fly alone, as in the service tier.
+                        leader = leaders.get(slot.key)
+                        if leader is not None:
+                            leader.followers.append(slot)
+                            continue
+                        leaders[slot.key] = slot
+                submit(slot)
+                pump(wait=False)
+            while open_slots:
+                pump(wait=True)
+            clean = True
         finally:
             # Interrupt/exception hygiene: whatever got us out of the
-            # loop, no worker process may outlive the scheduler.
-            for entry in active:
-                self._kill(entry)
+            # loop, no worker process of ours may outlive the run.
+            if self.pool is None:
+                pool.shutdown(drain=clean)
+        self.submemo_totals = dict(pool.submemo_totals)
         return [r for r in results if r is not None]
 
     # -- cache ----------------------------------------------------------
 
-    def _try_cache(self, job: Dict[str, Any],
-                   pending: _Pending) -> Optional[JobResult]:
+    def _try_cache(self, slot: _Slot) -> Optional[JobResult]:
         """Cache lookup; on a miss the built function and key stick to
-        the pending entry so the hot path never builds twice."""
+        the slot so the hot path never builds twice."""
+        job = slot.job
         try:
             # The parent-side build walks the same BDD/kernel code as a
             # worker; suppress injected faults so worker-targeted chaos
@@ -367,197 +412,90 @@ class BatchScheduler:
             with faults.suppressed():
                 func = jobspec.build_function(job["source"])
         except Exception as exc:  # noqa: BLE001 — bad source: report it
-            return JobResult(
-                job_id=job["job_id"],
-                source=jobspec.source_label(job["source"]),
-                flow=job["flow"], status="failed",
-                error=f"{type(exc).__name__}: {exc}")
-        key = cache_key(func.canonical_key(), job["flow"], job["config"])
-        pending.func = func
-        pending.key = key
-        record = self.cache.get(key)
+            return self._result(slot, "failed",
+                                error=f"{type(exc).__name__}: {exc}")
+        slot.func = func
+        slot.key = cache_key(func.canonical_key(), job["flow"],
+                             job["config"])
+        record = self.cache.get(slot.key)
         if record is None:
             job["wire"] = func.to_wire()
             return None
-        return JobResult(
-            job_id=job["job_id"],
-            source=jobspec.source_label(job["source"]),
-            flow=job["flow"], status="ok", result=record,
-            cache_hit=True)
+        return self._result(slot, "ok", record=record, cache_hit=True)
 
-    # -- dispatch/poll/settle -------------------------------------------
+    # -- settle ---------------------------------------------------------
 
-    def _dispatch(self, jobs: List[Dict[str, Any]], pending: _Pending,
-                  batch_started: float) -> _Active:
-        now = time.monotonic()
-        if pending.first_dispatch is None:
-            pending.first_dispatch = now - batch_started
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=jobspec.worker_entry,
-            args=(child_conn, jobs[pending.index], pending.attempt,
-                  self.heartbeat_s),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        deadline = now + self.timeout if self.timeout is not None else None
-        return _Active(index=pending.index, attempt=pending.attempt,
-                       process=process, conn=parent_conn,
-                       started_at=now, deadline=deadline,
-                       job_id=jobs[pending.index]["job_id"],
-                       retries=pending.retries,
-                       first_dispatch=pending.first_dispatch,
-                       last_beat=now,
-                       func=pending.func, key=pending.key)
+    def _settle(self, slot: _Slot, future: Future, at: float,
+                backoff: List[Tuple[float, int]],
+                on_event: Optional[EventSink]) -> Optional[JobResult]:
+        """Walk one finished attempt down the failure ladder.
 
-    def _poll(self, active: List[_Active]) -> None:
-        """Block briefly until a worker speaks, dies or times out."""
-        if not active:
-            return
-        budget = _POLL_S * 4
-        now = time.monotonic()
-        deadlines = [e.deadline - now for e in active
-                     if e.deadline is not None]
-        if deadlines:
-            budget = min(budget, max(_POLL_S, min(deadlines)))
-        ready = connection_wait([e.conn for e in active],
-                                timeout=max(_POLL_S, budget))
-        for entry in active:
-            if entry.conn in ready and entry.payload is None:
-                self._drain(entry)
-
-    def _drain(self, entry: _Active) -> None:
-        """Consume everything buffered on the entry's pipe: heartbeat
-        messages update liveness bookkeeping, the final payload sticks.
-
-        Delegates to the shared :func:`repro.runtime.pool.drain_messages`
-        primitive (also used by the persistent serve pool) and turns new
-        beats into ``beat`` progress events.
+        Returns the job's :class:`JobResult`, or None when a crash was
+        put in ``backoff`` for another attempt.
         """
-        new_beats = drain_messages(entry)
-        if new_beats:
-            emit_event(self._on_event, ProgressEvent(
-                kind="beat", job_id=entry.job_id, index=entry.index,
-                attempt=entry.attempt, phase=entry.phase,
-                beats=entry.beats))
-
-    def _settle(self, jobs: List[Dict[str, Any]], entry: _Active,
-                queue: List[_Pending]):
-        """Resolve one in-flight entry.
-
-        Returns a :class:`JobResult` when the job finished (possibly
-        degraded), the string ``"requeued"`` on a crash retry, or None
-        while the worker is still healthy and inside its deadline.
-        """
-        job = jobs[entry.index]
-        now = time.monotonic()
-        exec_s = now - entry.started_at
-        if entry.payload is not None:
-            self._reap(entry)
-            for name, count in (entry.payload.get("submemo")
-                                or {}).items():
-                self.submemo_totals[name] = \
-                    self.submemo_totals.get(name, 0) + int(count)
-            if entry.payload.get("status") == "ok":
-                record = entry.payload["result"]
-                if self.cache is not None and entry.key is not None:
-                    self.cache.put(entry.key, record)
-                return self._result(job, entry, "ok", record=record,
-                                    exec_s=exec_s)
-            # Worker raised: deterministic, degrade rather than retry.
-            return self._fallback(job, entry, exec_s,
-                                  entry.payload.get("error", "job failed"))
-        if entry.deadline is not None and now > entry.deadline:
-            self._kill(entry)
-            return self._fallback(
-                job, entry, exec_s,
-                f"timeout after {self.timeout:.1f}s")
-        if (self.hang_grace_s is not None and self.heartbeat_s
-                and entry.process.is_alive()
-                and now - entry.last_beat > self.hang_grace_s):
-            # Heartbeats went silent: the worker is stuck, not slow.
-            # Kill and degrade without retry — a hang is deterministic.
-            self._kill(entry)
-            phase = f" in phase {entry.phase!r}" if entry.phase else ""
-            return self._fallback(
-                job, entry, exec_s,
-                f"hung (no heartbeat for {now - entry.last_beat:.1f}s"
-                f"{phase})", hung=True)
-        if not entry.process.is_alive():
-            # The process may have exited cleanly with its payload still
-            # in the pipe buffer (a fast worker racing the poll) — drain
-            # before declaring a crash.
-            self._drain(entry)
-            if entry.payload is not None:
-                return self._settle(jobs, entry, queue)
-            self._reap(entry)
-            if entry.retries < self.retries:
-                retries = entry.retries + 1
-                backoff = (self.retry_backoff_s * retries
-                           * self._rng.uniform(0.5, 1.5))
-                queue.append(_Pending(
-                    entry.index, attempt=entry.attempt + 1,
-                    retries=retries,
-                    not_before=now + backoff,
-                    func=entry.func, key=entry.key,
-                    first_dispatch=entry.first_dispatch))
-                emit_event(self._on_event, ProgressEvent(
-                    kind="retry", job_id=entry.job_id,
-                    index=entry.index, attempt=entry.attempt + 1,
-                    detail=f"worker crashed (exit code "
-                           f"{entry.process.exitcode})"))
-                return "requeued"
-            code = entry.process.exitcode
-            return self._fallback(job, entry, exec_s,
-                                  f"worker crashed (exit code {code}), "
-                                  f"retries exhausted")
-        return None
-
-    # -- degradation ----------------------------------------------------
-
-    def _fallback(self, job: Dict[str, Any], entry: _Active,
-                  exec_s: float, reason: str,
-                  hung: bool = False) -> JobResult:
-        if not self.degrade:
-            return self._result(job, entry, "failed", error=reason,
+        error = future.exception()
+        payload = None if error is not None else future.result()
+        outcome, reason = attempt_outcome(payload, error)
+        decision = settle(outcome, slot.attempt, self.retries,
+                          self.degrade)
+        exec_s = at - slot.started_at
+        if decision == "retry":
+            slot.retries += 1
+            delay = (self.retry_backoff_s * slot.retries
+                     * self._rng.uniform(0.5, 1.5))
+            heapq.heappush(backoff, (at + delay, slot.index))
+            emit_event(on_event, ProgressEvent(
+                kind="retry", job_id=slot.job["job_id"],
+                index=slot.index, attempt=slot.attempt + 1,
+                detail=str(error)))
+            return None
+        if decision == "ok":
+            record = payload["result"]
+            if slot.key is not None:  # set only with a cache attached
+                self.cache.put(slot.key, record)
+            return self._result(slot, "ok", record=record, exec_s=exec_s)
+        hung = outcome == "hang"
+        if decision == "fail":
+            return self._result(slot, "failed", error=reason,
                                 exec_s=exec_s, hung=hung)
-        started = time.monotonic()
-        try:
-            # Recovery must succeed even under chaos: the fallback walks
-            # engine/BDD code where worker faults are armed, and a fault
-            # here would turn a contained degrade into a parent crash.
-            with faults.suppressed():
-                record = degraded_record(job, func=entry.func)
-        except Exception as exc:  # noqa: BLE001 — even fallback failed
-            return self._result(
-                job, entry, "failed",
-                error=f"{reason}; fallback failed: "
-                      f"{type(exc).__name__}: {exc}",
-                exec_s=exec_s, hung=hung)
-        exec_s += time.monotonic() - started
-        return self._result(job, entry, "degraded", record=record,
-                            error=reason, exec_s=exec_s, degraded=True,
-                            hung=hung)
+        begun = time.monotonic()
+        status, record, error_text = degrade(slot.job, slot.func, reason)
+        return self._result(slot, status, record=record, error=error_text,
+                            exec_s=exec_s + time.monotonic() - begun,
+                            degraded=record is not None, hung=hung)
 
-    def _result(self, job: Dict[str, Any], entry: _Active, status: str,
+    @staticmethod
+    def _result(slot: _Slot, status: str,
                 record: Optional[Dict[str, Any]] = None,
                 error: Optional[str] = None, exec_s: float = 0.0,
-                degraded: bool = False, hung: bool = False) -> JobResult:
+                degraded: bool = False, hung: bool = False,
+                cache_hit: bool = False) -> JobResult:
+        job = slot.job
         return JobResult(
             job_id=job["job_id"],
             source=jobspec.source_label(job["source"]),
             flow=job["flow"], status=status, result=record, error=error,
-            degraded=degraded, queue_wait_s=entry.first_dispatch,
-            exec_s=exec_s, retries=entry.retries, beats=entry.beats,
+            cache_hit=cache_hit, degraded=degraded,
+            queue_wait_s=slot.first_dispatch or 0.0,
+            exec_s=exec_s, retries=slot.retries, beats=slot.beats,
             hung=hung)
 
-    # -- process hygiene ------------------------------------------------
 
-    def _reap(self, entry: _Active) -> None:
-        reap_process(entry.process, entry.conn)
+def degrade(job: Dict[str, Any], func: Any, reason: str
+            ) -> Tuple[str, Optional[Dict[str, Any]], str]:
+    """Settle a job by degradation: ``(status, record, error)``.
 
-    def _kill(self, entry: _Active) -> None:
-        kill_process(entry.process, entry.conn)
+    ``degraded`` with the trivial mapping's record, or ``failed`` with
+    no record when even that cannot be built.  Recovery must succeed
+    even under chaos: the fallback walks engine/BDD code where worker
+    faults are armed, so it runs with every fault site suppressed.
+    """
+    try:
+        with faults.suppressed():
+            return "degraded", degraded_record(job, func=func), reason
+    except Exception as exc:  # noqa: BLE001 — even fallback failed
+        return ("failed", None, f"{reason}; fallback failed: "
+                                f"{type(exc).__name__}: {exc}")
 
 
 def degraded_record(job: Dict[str, Any],

@@ -19,12 +19,13 @@ Request lifecycle (all on the daemon's event loop)::
             └─ _run_flight: pool.submit, crash retries w/ backoff,
                timeout/hang -> degrade, cache.put on ok, broadcast
 
-The failure ladder mirrors the batch scheduler exactly — crash retried
-then degraded, timeout/hang/exception degraded without retry, the
-degradation fallback runs under :func:`repro.faults.suppressed` — so a
-request served by the daemon settles to the same record the batch tier
-would produce, bit for bit (the unit of determinism is the job, not the
-process).
+The failure ladder is the batch scheduler's own
+(:func:`repro.runtime.pool.settle`) — crash retried then degraded,
+timeout/hang/exception degraded without retry, the degradation fallback
+runs under :func:`repro.faults.suppressed` — so a request served by the
+daemon settles to the same record the batch tier would produce, bit for
+bit (the unit of determinism is the job, not the process).  Only the
+backoff differs: linear here, seeded jitter in batch.
 
 The ``server.dispatch`` fault site fires as a job is handed to the
 pool; an injected raise there is contained as if the worker had
@@ -43,14 +44,13 @@ from repro import faults
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.pool import (
-    JobHung,
-    JobTimeout,
-    PoolClosed,
+    PoolError,
     ProgressEvent,
-    WorkerCrash,
     WorkerPool,
+    attempt_outcome,
+    settle,
 )
-from repro.runtime.scheduler import degraded_record
+from repro.runtime.scheduler import degrade
 from repro.serve.protocol import (
     MAX_RETRIES,
     Overloaded,
@@ -235,8 +235,8 @@ class DecompositionService:
             if request.stream:
                 self._emit_to(request, emit,
                               {"event": "shed", "reason": "queue full"})
-            status, record, error = await self._degrade(
-                loop, job, func, "load shed: queue full")
+            status, record, error = await loop.run_in_executor(
+                None, degrade, job, func, "load shed: queue full")
             self._count_status(status)
             return self._final(request, status, record, error,
                                started=started)
@@ -298,61 +298,39 @@ class DecompositionService:
         attempt = 0
         while True:
             attempt += 1
-            job["attempt"] = attempt  # crash:n hooks count per attempt
+            payload = error = None
             try:
                 # Chaos boundary: an injected raise here is contained
                 # exactly like a worker crash (retry, then degrade).
                 faults.fault_point("server.dispatch",
                                    job["job_id"].encode("utf-8"))
                 flight.dispatches += 1
-                future = self.pool.submit(job, timeout=timeout,
-                                          on_event=sink)
+                future = self.pool.submit(job, attempt=attempt,
+                                          timeout=timeout, on_event=sink)
                 payload = await asyncio.wrap_future(future)
-            except (WorkerCrash, faults.FaultInjected,
+            except (PoolError, faults.FaultInjected,
                     MemoryError) as exc:
-                if attempt <= retries:
-                    flight.retries_used += 1
-                    self.counters["retries"] += 1
-                    flight.broadcast({"event": "retry",
-                                      "job_id": job["job_id"],
-                                      "attempt": attempt + 1,
-                                      "detail": str(exc)})
-                    await asyncio.sleep(
-                        self.retry_backoff_s * attempt)
-                    continue
-                return await self._degrade(
-                    loop, job, flight.func,
-                    f"{exc}; retries exhausted")
-            except (JobTimeout, JobHung) as exc:
-                # Deterministic failure class: no retry, degrade.
-                return await self._degrade(loop, job, flight.func,
-                                           str(exc))
-            except PoolClosed:
-                return ("failed", None, "pool closed during drain")
-            if payload.get("status") == "ok":
+                error = exc
+            outcome, reason = attempt_outcome(payload, error)
+            decision = settle(outcome, attempt, retries)
+            if decision == "retry":
+                flight.retries_used += 1
+                self.counters["retries"] += 1
+                flight.broadcast({"event": "retry",
+                                  "job_id": job["job_id"],
+                                  "attempt": attempt + 1,
+                                  "detail": str(error)})
+                await asyncio.sleep(self.retry_backoff_s * attempt)
+                continue
+            if decision == "ok":
                 record = payload["result"]
                 if self.cache is not None:
                     self.cache.put(flight.key, record)
                 return ("ok", record, None)
-            # Worker raised (or verification mismatch): deterministic,
-            # degrade rather than retry — same policy as batch.
-            return await self._degrade(
-                loop, job, flight.func,
-                payload.get("error", "job failed"))
-
-    async def _degrade(self, loop: asyncio.AbstractEventLoop,
-                       job: Dict[str, Any], func: Any, reason: str
-                       ) -> Tuple[str, Optional[dict], Optional[str]]:
-        def fallback():
-            with faults.suppressed():
-                return degraded_record(job, func=func)
-        try:
-            record = await loop.run_in_executor(None, fallback)
-        except Exception as exc:  # noqa: BLE001 — even fallback failed
-            return ("failed", None,
-                    f"{reason}; fallback failed: "
-                    f"{type(exc).__name__}: {exc}")
-        return ("degraded", record, reason)
+            if decision == "fail":
+                return ("failed", None, reason)
+            return await loop.run_in_executor(None, degrade, job,
+                                              flight.func, reason)
 
     # -- shaping/accounting ---------------------------------------------
 

@@ -342,9 +342,12 @@ class TestNodeReconnectSite:
         try:
             coordinator = DistCoordinator(
                 [(static.host, static.port)], join_port=join_port)
+            # Heavy jobs first: they hold both static workers, so the
+            # small ones stay queued (stealable) for the joiner's dial
+            # backoff; warm pool workers drain small jobs in tens of ms.
             rows = coordinator.run(make_jobs(
-                ("xor5", "rd53", "majority", "misex1",
-                 "rd73", "rd84", "5xp1", "duke2")))
+                ("duke2", "5xp1", "xor5", "rd53",
+                 "majority", "misex1", "rd73", "rd84")))
             assert proc.wait(timeout=60.0) == faults.CRASH_EXIT_CODE
         finally:
             proc.kill()
