@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,6 +32,7 @@ from repro.bench.registry import BENCHMARKS, benchmark, benchmark_names
 from repro.boolfunc.blif import BlifError, parse_blif
 from repro.boolfunc.pla import parse_pla
 from repro.boolfunc.spec import MultiFunction
+from repro.config import FlowConfig, current, process_flow
 from repro.core.api import map_to_xc3000, synthesize_two_input_gates
 from repro.obs import (
     SCHEMA_VERSION,
@@ -160,15 +162,16 @@ def _emit_cached_observability(args, *, command: str, record: dict,
 
 
 def _cmd_map(args) -> int:
+    flow = current()
     func = _load_function(args)
     cache = _open_cache(args)
-    mode = "mulopII" if args.no_dc else "mulop-dc"
+    mode = "mulop-dc" if flow.use_dontcares else "mulopII"
     key = None
     start = perf_counter()
     if cache is not None:
         from repro.runtime.cache import cache_key
         key = cache_key(func.canonical_key(), "map",
-                        {"use_dontcares": not args.no_dc})
+                        flow.job_config("map"))
         record = cache.get(key)
         if record is not None:
             wall = perf_counter() - start
@@ -185,7 +188,7 @@ def _cmd_map(args) -> int:
                     handle.write(record["blif"])
                 print(f"wrote {args.blif_out}")
             return 0
-    result = map_to_xc3000(func, use_dontcares=not args.no_dc)
+    result = map_to_xc3000(func, flow=flow)
     wall = perf_counter() - start
     if cache is not None:
         cache.put(key, result.to_record())
@@ -195,7 +198,7 @@ def _cmd_map(args) -> int:
     _emit_observability(
         args, command="map", stats=result.stats, wall_time_s=wall,
         result=_mapping_result_dict(result),
-        extra={"n_lut": 5, "use_dontcares": not args.no_dc})
+        extra={"n_lut": 5, "use_dontcares": flow.use_dontcares})
     if args.blif_out:
         with open(args.blif_out, "w") as handle:
             handle.write(result.network.to_blif())
@@ -206,7 +209,7 @@ def _cmd_map(args) -> int:
 def _cmd_gates(args) -> int:
     func = _load_function(args)
     start = perf_counter()
-    net = synthesize_two_input_gates(func, use_dontcares=not args.no_dc)
+    net = synthesize_two_input_gates(func, flow=current())
     wall = perf_counter() - start
     print(f"{net.gate_count} two-input gates, depth {net.depth()}, "
           f"{net.inverter_count} inverters")
@@ -215,7 +218,7 @@ def _cmd_gates(args) -> int:
         wall_time_s=wall,
         result={"gate_count": net.gate_count, "depth": net.depth(),
                 "inverter_count": net.inverter_count},
-        extra={"use_dontcares": not args.no_dc})
+        extra={"use_dontcares": current().use_dontcares})
     return 0
 
 
@@ -233,13 +236,15 @@ def _print_compare_table(base: dict, dc: dict, delta: int,
 def _cmd_compare(args) -> int:
     from repro.verify.equiv import check_extension
 
+    flow = current()
     func = _load_function(args)
     cache = _open_cache(args)
     key = None
     start = perf_counter()
     if cache is not None:
         from repro.runtime.cache import cache_key
-        key = cache_key(func.canonical_key(), "compare", {})
+        key = cache_key(func.canonical_key(), "compare",
+                        flow.job_config("compare"))
         record = cache.get(key)
         if record is not None:
             wall = perf_counter() - start
@@ -264,11 +269,11 @@ def _cmd_compare(args) -> int:
                         "clbs_saved": record["clbs_saved"]})
             return 0 if verified else 1
     func.bdd.reset_counters()
-    baseline = map_to_xc3000(func, use_dontcares=False)
+    baseline = map_to_xc3000(func, use_dontcares=False, flow=flow)
     # Counters are reset between the runs so each stats snapshot (and
     # the emitted trace) describes one driver, not the sum of both.
     func.bdd.reset_counters()
-    with_dc = map_to_xc3000(func, use_dontcares=True)
+    with_dc = map_to_xc3000(func, use_dontcares=True, flow=flow)
     wall = perf_counter() - start
     delta = baseline.clb_count - with_dc.clb_count
     _print_compare_table(_mapping_result_dict(baseline),
@@ -304,10 +309,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     from repro.verify.equiv import check_extension
+    flow = current()
     func = _load_function(args)
-    result = map_to_xc3000(func, use_dontcares=not args.no_dc)
+    result = map_to_xc3000(func, flow=flow)
     verdict = check_extension(func, result.network)
-    mode = "mulopII" if args.no_dc else "mulop-dc"
+    mode = "mulop-dc" if flow.use_dontcares else "mulopII"
     print(f"{mode}: {result.summary()}")
     if verdict:
         print("formal verification: EQUIVALENT")
@@ -336,12 +342,7 @@ def _parse_batch_jobs(args) -> list:
             jobs.append(parse_manifest_entry(name))
         except ValueError as exc:
             raise SystemExit(str(exc))
-    # compare runs both drivers, so its config (and cache key) carries
-    # no use_dontcares — the CLI `compare --cache` keys the same way.
-    config = {} if args.flow == "compare" else {
-        "use_dontcares": not args.no_dc}
-    if args.no_verify:
-        config["verify"] = False
+    config = current().job_config(args.flow)
     for job in jobs:
         job["flow"] = args.flow
         job["config"] = dict(config)
@@ -359,10 +360,10 @@ def _resolve_worker_arg(requested) -> tuple:
     return workers, note
 
 
-def _row_detail(row: dict, flow: str) -> str:
+def _row_detail(row: dict) -> str:
     if row["status"] == "failed" or not isinstance(row.get("result"), dict):
         return row.get("error") or "failed"
-    if flow == "compare":
+    if row["flow"] == "compare":
         return f"saves {row['result']['clbs_saved']} CLB(s)"
     return (f"{row['result']['lut_count']} LUTs, "
             f"{row['result']['clb_count']} CLBs")
@@ -504,7 +505,7 @@ def _cmd_batch_dist(args) -> int:
     def on_row(row: dict) -> None:
         done[0] += 1
         print(f"[{done[0]}/{total}] {row['job_id']}: {row['status']} — "
-              f"{_row_detail(row, args.flow)}{_row_notes(row)}")
+              f"{_row_detail(row)}{_row_notes(row)}")
 
     start = perf_counter()
     try:
@@ -587,25 +588,8 @@ def _cmd_batch(args) -> int:
         fresh_rows[remaining[res.index]] = row
         if journal is not None:
             journal.record_done(remaining[res.index], row)
-        if res.status == "failed":
-            detail = res.error or "failed"
-        elif res.flow == "compare":
-            detail = (f"saves {res.result['clbs_saved']} CLB(s)")
-        else:
-            detail = (f"{res.result['lut_count']} LUTs, "
-                      f"{res.result['clb_count']} CLBs")
-        notes = []
-        if res.cache_hit:
-            notes.append("cache hit")
-        if res.degraded:
-            notes.append("degraded")
-        if res.hung:
-            notes.append("hung")
-        if res.retries:
-            notes.append(f"{res.retries} retries")
-        note = f" ({', '.join(notes)})" if notes else ""
         print(f"[{done[0]}/{total}] {res.job_id}: {res.status} — "
-              f"{detail}{note}")
+              f"{_row_detail(row)}{_row_notes(row)}")
 
     start = perf_counter()
     try:
@@ -807,6 +791,28 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _add_submemo_flags(p) -> None:
+    p.add_argument("--no-submemo", action="store_true",
+                   help="disable the sub-ISF computed table (canonical "
+                        "subfunction memoization; same as "
+                        "REPRO_SUBMEMO=off)")
+    p.add_argument("--submemo-bytes", type=int, metavar="N",
+                   help="byte budget of the warm sub-ISF memo layers "
+                        "(default 64 MiB; same as REPRO_SUBMEMO_BYTES=N)")
+    p.add_argument("--submemo-dir", metavar="DIR",
+                   help="persist the sub-ISF memo under DIR (namespace "
+                        "'submemo'; same as REPRO_SUBMEMO_DIR)")
+
+
+def _add_fault_flags(p, note: str = "") -> None:
+    p.add_argument("--inject", action="append", metavar="SPEC",
+                   help=f"arm a fault site: site:kind:prob[:nth] "
+                        f"(repeatable{note}; same grammar as REPRO_FAULTS)")
+    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
+                   help="seed for the injected-fault probability streams "
+                        "(same as REPRO_FAULTS_SEED)")
+
+
 def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -829,19 +835,7 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--blif", help="map a BLIF file instead")
         p.add_argument("--no-dc", action="store_true",
                        help="disable don't-care exploitation (mulopII)")
-        if cmd in ("map", "gates", "verify", "compare"):
-            p.add_argument("--no-submemo", action="store_true",
-                           help="disable the sub-ISF computed table "
-                                "(canonical subfunction memoization; "
-                                "same as REPRO_SUBMEMO=off)")
-            p.add_argument("--submemo-bytes", type=int, metavar="N",
-                           help="byte budget of the warm sub-ISF memo "
-                                "layers (default 64 MiB; same as "
-                                "REPRO_SUBMEMO_BYTES=N)")
-            p.add_argument("--submemo-dir", metavar="DIR",
-                           help="persist the sub-ISF memo under DIR "
-                                "(namespace 'submemo'; same as "
-                                "REPRO_SUBMEMO_DIR)")
+        _add_submemo_flags(p)
         if cmd in ("map", "gates", "compare"):
             p.add_argument("--no-dsd", action="store_true",
                            help="disable the tier-0 structural pre-pass "
@@ -861,13 +855,7 @@ def main(argv: Optional[list] = None) -> int:
             p.add_argument("--metrics-out", metavar="FILE",
                            help="write a JSON run trace (phase timings, "
                                 "computed-table hit rate, peak nodes)")
-        p.add_argument("--inject", action="append", metavar="SPEC",
-                       help="arm a fault site: site:kind:prob[:nth] "
-                            "(repeatable; same grammar as REPRO_FAULTS)")
-        p.add_argument("--fault-seed", type=int, default=None,
-                       metavar="N",
-                       help="seed for the injected-fault probability "
-                            "streams (same as REPRO_FAULTS_SEED)")
+        _add_fault_flags(p)
         if cmd in ("map", "compare"):
             p.add_argument("--cache", action="store_true",
                            help="reuse/persist results in the on-disk "
@@ -906,14 +894,7 @@ def main(argv: Optional[list] = None) -> int:
                             "(default: 1)")
     batch.add_argument("--no-dc", action="store_true",
                        help="disable don't-care exploitation (mulopII)")
-    batch.add_argument("--inject", action="append", metavar="SPEC",
-                       help="arm a fault site: site:kind:prob[:nth] "
-                            "(repeatable; inherited by workers; same "
-                            "grammar as REPRO_FAULTS)")
-    batch.add_argument("--fault-seed", type=int, default=None,
-                       metavar="N",
-                       help="seed for the injected-fault probability "
-                            "streams (same as REPRO_FAULTS_SEED)")
+    _add_fault_flags(batch, "; inherited by workers")
     batch.add_argument("--no-verify", action="store_true",
                        help="skip in-worker verification of mapped "
                             "networks")
@@ -964,16 +945,7 @@ def main(argv: Optional[list] = None) -> int:
                        metavar="S",
                        help="with --nodes: base of the jittered retry "
                             "backoff in seconds (default: 0.2)")
-    batch.add_argument("--no-submemo", action="store_true",
-                       help="disable the sub-ISF computed table in "
-                            "workers (same as REPRO_SUBMEMO=off)")
-    batch.add_argument("--submemo-bytes", type=int, metavar="N",
-                       help="byte budget of the warm sub-ISF memo "
-                            "layers (same as REPRO_SUBMEMO_BYTES=N)")
-    batch.add_argument("--submemo-dir", metavar="DIR",
-                       help="persist the sub-ISF memo under DIR so "
-                            "batches share subfunctions (same as "
-                            "REPRO_SUBMEMO_DIR)")
+    _add_submemo_flags(batch)
     batch.add_argument("--stable-rows", action="store_true",
                        help="zero the volatile timing fields "
                             "(queue_wait_s, exec_s, beats) in output "
@@ -1023,14 +995,8 @@ def main(argv: Optional[list] = None) -> int:
                         help="stable identity across reconnects "
                              "(default: hostname-pid); a rejoin under "
                              "the same id re-registers in place")
-    node_p.add_argument("--inject", action="append", metavar="SPEC",
-                        help="arm a fault site: site:kind:prob[:nth] "
-                             "(repeatable; e.g. node.loss:crash:1:3 "
-                             "kills this node on its 3rd job)")
-    node_p.add_argument("--fault-seed", type=int, default=None,
-                        metavar="N",
-                        help="seed for the injected-fault probability "
-                             "streams (same as REPRO_FAULTS_SEED)")
+    _add_fault_flags(node_p, "; e.g. node.loss:crash:1:3 kills this "
+                             "node on its 3rd job")
 
     serve = sub.add_parser(
         "serve",
@@ -1096,23 +1062,8 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument("--cache-dir", metavar="DIR",
                        help="result-cache location (default "
                             "~/.cache/repro or $REPRO_CACHE_DIR)")
-    serve.add_argument("--no-submemo", action="store_true",
-                       help="disable the sub-ISF computed table in "
-                            "pool workers (same as REPRO_SUBMEMO=off)")
-    serve.add_argument("--submemo-bytes", type=int, metavar="N",
-                       help="byte budget of the warm sub-ISF memo "
-                            "layers (same as REPRO_SUBMEMO_BYTES=N)")
-    serve.add_argument("--submemo-dir", metavar="DIR",
-                       help="persist the sub-ISF memo under DIR "
-                            "(same as REPRO_SUBMEMO_DIR)")
-    serve.add_argument("--inject", action="append", metavar="SPEC",
-                       help="arm a fault site: site:kind:prob[:nth] "
-                            "(repeatable; inherited by workers; same "
-                            "grammar as REPRO_FAULTS)")
-    serve.add_argument("--fault-seed", type=int, default=None,
-                       metavar="N",
-                       help="seed for the injected-fault probability "
-                            "streams (same as REPRO_FAULTS_SEED)")
+    _add_submemo_flags(serve)
+    _add_fault_flags(serve, "; inherited by workers")
 
     cache_p = sub.add_parser(
         "cache", help="inspect or clear the persistent result cache")
@@ -1128,25 +1079,11 @@ def main(argv: Optional[list] = None) -> int:
                          help="clear only entries older than DAYS days")
 
     args = parser.parse_args(argv)
-    if getattr(args, "no_submemo", False):
-        os.environ["REPRO_SUBMEMO"] = "off"
-    if getattr(args, "submemo_bytes", None) is not None:
-        if args.submemo_bytes < 0:
-            raise SystemExit("--submemo-bytes must be >= 0 "
-                             f"(got {args.submemo_bytes})")
-        os.environ["REPRO_SUBMEMO_BYTES"] = str(args.submemo_bytes)
+    flow = _flow_from_args(args)
     if getattr(args, "submemo_dir", None):
+        # A deployment path, not an engine setting: the memo store (and
+        # every worker forked from here) reads its location from there.
         os.environ["REPRO_SUBMEMO_DIR"] = args.submemo_dir
-    if getattr(args, "no_dsd", False):
-        os.environ["REPRO_DSD"] = "off"
-    if getattr(args, "no_kernel", False):
-        os.environ["REPRO_KERNEL"] = "off"
-    if getattr(args, "kernel_max_vars", None) is not None:
-        if args.kernel_max_vars < 0:
-            raise SystemExit(
-                "--kernel-max-vars must be >= 0 "
-                f"(got {args.kernel_max_vars})")
-        os.environ["REPRO_KERNEL_MAX_VARS"] = str(args.kernel_max_vars)
     if getattr(args, "inject", None):
         from repro import faults
         try:
@@ -1155,6 +1092,31 @@ def main(argv: Optional[list] = None) -> int:
                        seed=getattr(args, "fault_seed", None))
         except faults.FaultSpecError as exc:
             raise SystemExit(str(exc))
+    with process_flow(flow):
+        return _dispatch(args)
+
+
+def _flow_from_args(args) -> FlowConfig:
+    """The environment's flow with the command's flags laid over it;
+    made the process flow, so batch and serve workers inherit it."""
+    changes = {}
+    for flag in ("submemo_bytes", "kernel_max_vars"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise SystemExit(f"--{flag.replace('_', '-')} must be >= 0 "
+                             f"(got {value})")
+        if value is not None:
+            changes[flag] = value
+    for flag, name in (("no_dc", "use_dontcares"), ("no_dsd", "use_dsd"),
+                       ("no_kernel", "kernel"),
+                       ("no_submemo", "use_submemo"),
+                       ("no_verify", "verify")):
+        if getattr(args, flag, False):
+            changes[name] = False
+    return dataclasses.replace(FlowConfig.from_env(), **changes)
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "map":

@@ -8,12 +8,17 @@ Typical usage::
     print(result.clb_count, result.lut_count)
 
     baseline = core.map_to_xc3000(func, use_dontcares=False)   # mulopII
+
+The engine keywords are :class:`~repro.config.FlowConfig` field names
+(``None`` leaves the setting to the flow); ``flow=`` passes a whole
+FlowConfig, which otherwise defaults to the flow in force
+(:func:`repro.config.current`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.boolfunc.spec import MultiFunction
 from repro.decomp.recursive import DecompositionEngine, DecompositionStats
@@ -70,7 +75,7 @@ class FpgaMappingResult:
 
 
 def decompose_to_luts(func: MultiFunction, n_lut: int = 5,
-                      use_dontcares: bool = True,
+                      use_dontcares: Optional[bool] = None,
                       **engine_kwargs) -> LutNetwork:
     """Recursive multi-output decomposition into ``n_lut``-input LUTs.
 
@@ -83,7 +88,8 @@ def decompose_to_luts(func: MultiFunction, n_lut: int = 5,
     return engine.run(func)
 
 
-def map_to_xc3000(func: MultiFunction, use_dontcares: bool = True,
+def map_to_xc3000(func: MultiFunction,
+                  use_dontcares: Optional[bool] = None,
                   **engine_kwargs) -> FpgaMappingResult:
     """The paper's full XC3000 flow: decompose to 5-input LUTs, then
     merge LUT pairs into CLBs by maximum-cardinality matching."""
@@ -105,7 +111,7 @@ def map_to_xc3000(func: MultiFunction, use_dontcares: bool = True,
 
 
 def synthesize_two_input_gates(func: MultiFunction,
-                               use_dontcares: bool = True,
+                               use_dontcares: Optional[bool] = None,
                                **engine_kwargs) -> GateNetwork:
     """The paper's gate-level flow (Figures 2/3): balanced decomposition
     to 3-input blocks, then minimal two-input-gate trees per block."""

@@ -38,7 +38,6 @@ from repro.decomp.dsd import (
     DsdCore,
     DsdMux,
     chain_table,
-    dsd_enabled,
     shatter,
 )
 from repro.decomp.recursive import DecompositionEngine, decompose
@@ -66,7 +65,6 @@ __all__ = [
     "DsdCore",
     "DsdMux",
     "chain_table",
-    "dsd_enabled",
     "shatter",
     "DecompositionEngine",
     "decompose",

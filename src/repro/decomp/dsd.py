@@ -45,14 +45,13 @@ into the normal per-level flow.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
-from repro.kernel import _OFF_VALUES, STATS as KERNEL_STATS
+from repro.kernel import STATS as KERNEL_STATS
 
 try:
     from repro.kernel.dsd import dsd_mask_domain
@@ -65,15 +64,6 @@ except ImportError:  # pragma: no cover - numpy unavailable
 #: it to selectors that genuinely partition the support (tuned against
 #: the Table 1 suite: no circuit's LUT count regresses).
 MUX_MIN_SHRINK = 2
-
-
-def dsd_enabled() -> bool:
-    """Is the tier-0 pre-pass enabled?  (``REPRO_DSD=off`` disables.)
-
-    Read per run so tests and the CLI's ``--no-dsd`` can flip it.
-    """
-    return os.environ.get("REPRO_DSD", "").strip().lower() \
-        not in _OFF_VALUES
 
 
 # -- plan tree ------------------------------------------------------------
@@ -313,6 +303,5 @@ __all__ = [
     "DsdMux",
     "MUX_MIN_SHRINK",
     "chain_table",
-    "dsd_enabled",
     "shatter",
 ]

@@ -25,7 +25,7 @@ MUX) guarantees termination.
 
 from __future__ import annotations
 
-import os
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro import faults
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF, MultiFunction
+from repro.config import FlowConfig, current, running
 from repro.decomp.bound_set import rank_bound_sets
 from repro.decomp.compat import classes_for
 from repro.decomp.dontcare import (
@@ -47,7 +48,6 @@ from repro.decomp.dsd import (
     DsdCore,
     DsdMux,
     chain_table,
-    dsd_enabled,
     shatter,
 )
 from repro.decomp import submemo
@@ -65,9 +65,6 @@ from repro.symmetry.groups import symmetry_domain
 #: exhaustion, and injected chaos faults.  Anything else is a bug and
 #: propagates.
 QUARANTINABLE = (RecursionError, MemoryError, faults.FaultInjected)
-
-#: Environment override for the engine's recursion-limit raise.
-RECURSION_LIMIT_ENV = "REPRO_RECURSION_LIMIT"
 
 #: ``base + per_var * n`` recursion frames requested at engine entry.
 _RECURSION_BASE = 3000
@@ -118,12 +115,12 @@ def _required_recursion_limit(num_vars: int) -> int:
 
     The engine recurses once per Shannon split in the worst case, and
     each engine level sits on a deep stack of BDD-walk frames, so the
-    need grows with the variable count.  ``REPRO_RECURSION_LIMIT``
-    overrides the heuristic outright.
+    need grows with the variable count.  ``FlowConfig.recursion_limit``
+    (``REPRO_RECURSION_LIMIT``) overrides the heuristic outright.
     """
-    env = os.environ.get(RECURSION_LIMIT_ENV)
-    if env:
-        return max(1000, int(env))
+    limit = current().recursion_limit
+    if limit is not None:
+        return max(1000, limit)
     return _RECURSION_BASE + _RECURSION_PER_VAR * num_vars
 
 
@@ -255,8 +252,12 @@ class _Step:
 class DecompositionEngine:
     """Configurable recursive decomposer.
 
-    Parameters
-    ----------
+    Every setting is a :class:`~repro.config.FlowConfig` field, resolved
+    when a run starts: ``flow`` (default: the flow in force,
+    :func:`repro.config.current`) with the keyword ``settings`` laid
+    over it (``None`` = not given); the run makes it current for the
+    kernel dispatch below.  The fields the engine reads:
+
     n_lut:
         LUT input count of the target architecture (5 for XC3000).
     use_dontcares:
@@ -284,53 +285,30 @@ class DecompositionEngine:
         Optional cap on the BDD manager's node count with the same
         fallback — bounds memory the way ``time_budget`` bounds time.
     use_dsd:
-        Tier-0 structural pre-pass (see :mod:`repro.decomp.dsd`):
-        ``None`` follows the ``REPRO_DSD`` environment switch (default
-        on), ``True``/``False`` force it for this engine.
+        Tier-0 structural pre-pass (see :mod:`repro.decomp.dsd`).
     use_submemo:
-        Sub-ISF computed table (see :mod:`repro.decomp.submemo`):
-        ``None`` follows ``REPRO_SUBMEMO`` (default on), ``True``/
-        ``False`` force it.  Regardless of the flag the memo stands
-        down when a wall/node budget is set (budget crossings make the
-        search trajectory time-dependent) or when an engine-internal
-        fault site is armed.
-    submemo_store:
-        Override for the process-level store layers (tests); default is
-        :func:`repro.decomp.submemo.default_store`.
+        Sub-ISF computed table (see :mod:`repro.decomp.submemo`).
+        Regardless of the flag the memo stands down when a wall/node
+        budget is set (budget crossings make the search trajectory
+        time-dependent) or when an engine-internal fault site is armed.
+
+    ``submemo_store`` overrides the process-level store layers (tests);
+    default is :func:`repro.decomp.submemo.default_store`.
     """
 
-    def __init__(self, n_lut: int = 5, use_dontcares: bool = True,
-                 use_symmetry_step: bool = True,
-                 use_sharing_step: bool = True,
-                 use_single_step: bool = True,
-                 max_candidates: int = 24,
-                 try_candidates: int = 6,
-                 balanced: bool = False,
-                 balanced_max_p: int = 8,
-                 time_budget: Optional[float] = None,
-                 node_budget: Optional[int] = None,
-                 use_dsd: Optional[bool] = None,
-                 use_submemo: Optional[bool] = None,
-                 submemo_store: Optional[submemo.SubMemoStore] = None
-                 ) -> None:
-        if n_lut < 2:
-            raise ValueError("n_lut must be at least 2")
-        self.n_lut = n_lut
-        self.use_dontcares = use_dontcares
-        self.use_symmetry_step = use_symmetry_step and use_dontcares
-        self.use_sharing_step = use_sharing_step and use_dontcares
-        self.use_single_step = use_single_step and use_dontcares
-        self.max_candidates = max_candidates
-        self.try_candidates = try_candidates
-        self.balanced = balanced
-        self.balanced_max_p = balanced_max_p
-        self.time_budget = time_budget
-        self.node_budget = node_budget
-        self.use_dsd = use_dsd
-        self._dsd_active = False
-        self.use_submemo = use_submemo
+    def __init__(self, flow: Optional[FlowConfig] = None, *,
+                 submemo_store: Optional[submemo.SubMemoStore] = None,
+                 **settings) -> None:
+        self._base = flow
+        self._settings = {name: value for name, value in settings.items()
+                          if value is not None}
+        self.flow = self._resolve()
         self._submemo_store_override = submemo_store
         self.reset()
+
+    def _resolve(self) -> FlowConfig:
+        return dataclasses.replace(self._base or current(),
+                                   **self._settings)
 
     def reset(self) -> None:
         """Clear every piece of per-run state.
@@ -389,14 +367,17 @@ class DecompositionEngine:
         re-verified against the specification before the run returns.
         """
         self.reset()
-        self._dsd_active = dsd_enabled() if self.use_dsd is None \
-            else bool(self.use_dsd)
+        self.flow = self._resolve()
+        with running(self.flow):
+            return self._run(func)
+
+    def _run(self, func: MultiFunction) -> LutNetwork:
         reset_kernel_stats()
         self._fault_mid = faults.hook("worker.mid_decomp")
         self._submemo_setup()
         fault_baseline = faults.counters()
-        self._deadline = (time.monotonic() + self.time_budget
-                          if self.time_budget is not None else None)
+        self._deadline = (time.monotonic() + self.flow.time_budget
+                          if self.flow.time_budget is not None else None)
         named = list(zip(func.output_names, func.outputs))
         # The recursion depth scales with the variable count (Shannon
         # chains with BDD-walk frames below each level); raise the limit
@@ -556,13 +537,13 @@ class DecompositionEngine:
         run — compositions frequently resurface unchanged after a
         sibling's step.
         """
-        probe_isf = isf if self.use_dontcares else ISF.complete(isf.lo)
+        probe_isf = isf if self.flow.use_dontcares else ISF.complete(isf.lo)
         key = (probe_isf.lo, probe_isf.hi, multi)
         if key in self._dsd_irreducible:
             return None
         local: Dict[str, int] = {}
         with profile_phase("dsd"):
-            plan = shatter(bdd, probe_isf, self.n_lut, local)
+            plan = shatter(bdd, probe_isf, self.flow.n_lut, local)
         if plan is not None and not self._plan_worthwhile(bdd, plan,
                                                           multi):
             plan = None
@@ -602,9 +583,9 @@ class DecompositionEngine:
                 stack.append(node.hi)
                 stack.append(node.lo)
             elif isinstance(node, DsdCore):
-                if len(node.isf.support(bdd)) > self.n_lut:
+                if len(node.isf.support(bdd)) > self.flow.n_lut:
                     wide_cores += 1
-        full_lut = peels >= self.n_lut - 1
+        full_lut = peels >= self.flow.n_lut - 1
         if wide_cores and not full_lut:
             return False
         if multi and xor_peels and not full_lut:
@@ -660,7 +641,7 @@ class DecompositionEngine:
         # ceil(k / (n_lut - 1)) LUTs for k peeled literals.
         sig = self._emit_plan(plan.child, plans, signals, net, signal_of)
         peels = plan.peels
-        width = max(1, self.n_lut - 1)
+        width = max(1, self.flow.n_lut - 1)
         i = len(peels)
         while i > 0:
             j = max(0, i - width)
@@ -718,26 +699,18 @@ class DecompositionEngine:
     def _submemo_setup(self) -> None:
         """Decide (per run) whether the memo is live, and under which
         canonical config tag."""
-        if self.use_submemo is False:
-            return
-        if self.use_submemo is None and not submemo.submemo_enabled():
+        flow = self.flow
+        if not flow.use_submemo:
             return
         # Budgets make the search trajectory wall-clock/heap dependent:
         # a memoised result would be neither reproducible nor safe to
         # splice into a differently-budgeted run.
-        if self.time_budget is not None or self.node_budget is not None:
+        if flow.time_budget is not None or flow.node_budget is not None:
             return
         if faults.armed_sites() & _SUBMEMO_FAULT_SITES:
             return
         self._submemo_active = True
-        self._submemo_cfg = (
-            f"{submemo.code_tag()};n{self.n_lut}"
-            f";dc{int(self.use_dontcares)}"
-            f";s{int(self.use_symmetry_step)}"
-            f"{int(self.use_sharing_step)}{int(self.use_single_step)}"
-            f";mc{self.max_candidates};tc{self.try_candidates}"
-            f";b{int(self.balanced)}p{self.balanced_max_p}"
-            f";dsd{int(self._dsd_active)}")
+        self._submemo_cfg = flow.output_key()
         self._submemo_store = self._submemo_store_override \
             if self._submemo_store_override is not None \
             else submemo.default_store()
@@ -765,7 +738,7 @@ class DecompositionEngine:
         support_set: Set[int] = set()
         for _, isf in named:
             support_set |= isf.support(bdd)
-        if len(support_set) <= self.n_lut:
+        if len(support_set) <= self.flow.n_lut:
             return None
         support = sorted(support_set)
         id_key = (tuple((isf.lo, isf.hi) for _, isf in named),
@@ -823,7 +796,7 @@ class DecompositionEngine:
             self._bump_submemo("invalid_payloads")
             self._submemo_invalidate(key)
             return None
-        if submemo.verify_enabled():
+        if self.flow.submemo_verify:
             with profile_phase("submemo_verify"):
                 input_funcs = [bdd.var(v) for v in support]
                 outs = submemo.payload_output_bdds(bdd, payload,
@@ -960,7 +933,7 @@ class DecompositionEngine:
     def _submemo_run_put(self, key: str, payload: Dict,
                          size: int) -> None:
         """Byte-budgeted insert into the per-run table (L1)."""
-        budget = submemo.byte_budget()
+        budget = self.flow.submemo_bytes
         if size > budget:
             return
         self._submemo_run[key] = payload
@@ -1041,20 +1014,20 @@ class DecompositionEngine:
             # clears it at BDD.cache_limit and counts the eviction.)
             still: List[Tuple[str, ISF]] = []
             for name, isf in pending:
-                if self.use_dontcares and not isf.is_complete():
+                if self.flow.use_dontcares and not isf.is_complete():
                     # Don't-care based support minimisation: an ISF often
                     # admits an extension independent of some variables.
                     # Crucial for composition functions, whose unused-code
                     # upper bound otherwise inflates the measured support.
                     with profile_phase("reduce_support"):
                         isf = isf.reduce_support(bdd)
-                if len(isf.support(bdd)) <= self.n_lut:
+                if len(isf.support(bdd)) <= self.flow.n_lut:
                     with profile_phase("leaf_emit"):
                         signals[name] = self._emit_leaf(bdd, isf, net,
                                                         signal_of)
                     continue
                 plan = None
-                if self._dsd_active and name not in plans:
+                if self.flow.use_dsd and name not in plans:
                     plan = self._dsd_probe(bdd, isf,
                                            multi=len(pending) > 1)
                 if plan is None:
@@ -1067,7 +1040,7 @@ class DecompositionEngine:
                 plans[name] = plan
                 for core in self._name_cores(plan, name):
                     self._dsd_bump("cores")
-                    if len(core.isf.support(bdd)) <= self.n_lut:
+                    if len(core.isf.support(bdd)) <= self.flow.n_lut:
                         with profile_phase("leaf_emit"):
                             signals[core.name] = self._emit_leaf(
                                 bdd, core.isf, net, signal_of)
@@ -1088,8 +1061,8 @@ class DecompositionEngine:
 
             over_time = (self._deadline is not None
                          and time.monotonic() > self._deadline)
-            over_nodes = (self.node_budget is not None
-                          and len(bdd) > self.node_budget)
+            over_nodes = (self.flow.node_budget is not None
+                          and len(bdd) > self.flow.node_budget)
             if over_time or over_nodes:
                 self.stats.budget_exhausted = True
                 for name, isf in pending:
@@ -1098,7 +1071,7 @@ class DecompositionEngine:
                 return signals
 
             outputs = [isf for _, isf in pending]
-            if not self.use_dontcares:
+            if not self.flow.use_dontcares:
                 outputs = [ISF.complete(o.lo) for o in outputs]
 
             if search_cooldown > 0:
@@ -1121,18 +1094,18 @@ class DecompositionEngine:
             groups_sym = None
             with profile_phase("symmetry_groups"):
                 groups = self._common_groups(bdd, outputs, support)
-            if self.use_symmetry_step:
+            if self.flow.use_dontcares and self.flow.use_symmetry_step:
                 with profile_phase("dc_step1_symmetry"):
                     outputs_sym, groups_sym = assign_step1_symmetry(
                         bdd, outputs, support)
                 if all(len(g) <= 1 for g in groups_sym):
                     outputs_sym = None  # nothing was symmetrised
 
-            if self.balanced:
-                p = min(max(2, len(support) // 2), self.balanced_max_p,
+            if self.flow.balanced:
+                p = min(max(2, len(support) // 2), self.flow.balanced_max_p,
                         len(support) - 1)
             else:
-                p = min(self.n_lut, len(support) - 1)
+                p = min(self.flow.n_lut, len(support) - 1)
             step = None
             if p >= 2:
                 step = self._find_step(bdd, outputs, support, p, groups)
@@ -1153,8 +1126,8 @@ class DecompositionEngine:
                         if aligned or step is None:
                             step = step_sym
                             outputs = outputs_sym
-            if step is None and self.balanced:
-                p2 = min(self.n_lut, len(support) - 1)
+            if step is None and self.flow.balanced:
+                p2 = min(self.flow.n_lut, len(support) - 1)
                 if p2 >= 2 and p2 != p:
                     step = self._find_step(bdd, outputs, support, p2,
                                            groups)
@@ -1204,7 +1177,7 @@ class DecompositionEngine:
         """LUTs (or a recursive bundle) for the used alphas; returns the
         alpha-index -> fresh-BDD-variable map."""
         bound_signals = [signal_of[v] for v in step.bound]
-        if len(step.bound) <= self.n_lut:
+        if len(step.bound) <= self.flow.n_lut:
             alpha_signals = {
                 i: self._add_lut(net, bound_signals,
                                  list(step.pool[i].values),
@@ -1302,8 +1275,8 @@ class DecompositionEngine:
         reduction (None when nothing shrinks any output)."""
         # Wide bundles get a narrower (cheaper) search.
         weight = len(support) * max(1, len(outputs))
-        max_candidates = self.max_candidates
-        try_candidates = self.try_candidates
+        max_candidates = self.flow.max_candidates
+        try_candidates = self.flow.try_candidates
         if weight > 400:
             max_candidates = min(max_candidates, 12)
             try_candidates = min(try_candidates, 3)
@@ -1364,10 +1337,10 @@ class DecompositionEngine:
         """Full pipeline (DC steps 2/3 + common alphas) for one bound."""
         work = list(outputs)
         joint_min_r = None
-        if self.use_sharing_step:
+        if self.flow.use_dontcares and self.flow.use_sharing_step:
             work, joint = assign_step2_sharing(bdd, work, bound)
             joint_min_r = joint.min_r
-        if self.use_single_step:
+        if self.flow.use_dontcares and self.flow.use_single_step:
             work, per_output = assign_step3_single(bdd, work, bound)
         else:
             per_output = [classes_for(bdd, [isf], bound)
@@ -1409,7 +1382,7 @@ class DecompositionEngine:
         if cached is not None:
             return cached
         support = sorted(bdd.support(f))
-        if len(support) <= self.n_lut:
+        if len(support) <= self.flow.n_lut:
             table = bdd.to_truth_table(f, support)
             signal = self._add_lut(net, [signal_of[v] for v in support],
                                    table)
@@ -1423,7 +1396,7 @@ class DecompositionEngine:
 
     def _mux(self, net: LutNetwork, sel: str, hi: str, lo: str) -> str:
         """A 2:1 MUX: one 3-input LUT, or three 2-input LUTs for n_lut=2."""
-        if self.n_lut >= 3:
+        if self.flow.n_lut >= 3:
             # Inputs (sel, hi, lo): sel ? hi : lo.
             table = [0, 1, 0, 1, 0, 0, 1, 1]
             return self._add_lut(net, [sel, hi, lo], table,

@@ -9,8 +9,9 @@ engine's work at that granularity.
 
 **Key** — :func:`repro.decomp.encoding.sub_isf_key`: a canonical hash of
 the bundle's interval BDDs with variables identified by rank in the
-sorted live support, plus a config tag covering every engine knob that
-can change the result.
+sorted live support, plus the engine flow's
+:meth:`~repro.config.FlowConfig.output_key` (every output-affecting
+setting and the code version).
 
 **Payload** — a *splice tape*: the ordered ``add_lut`` calls the cold
 search made for the bundle, with fanins expressed as position-relative
@@ -33,7 +34,7 @@ splice bit-identical to a cold search rather than merely equivalent.
    and multi-node batches share warm subfunctions across hosts.
 
 **Safety** — a payload is structurally validated and (under
-``REPRO_SUBMEMO_VERIFY``, default on in tests) semantically verified in
+``FlowConfig.submemo_verify``, default on in tests) semantically verified in
 pure BDD space *before* any network mutation; a corrupt or colliding
 entry degrades to a cold search and is invalidated, never spliced.  The
 memo is an accelerator, not a correctness dependency.
@@ -47,17 +48,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
-
-#: ``off``/``0``/``false`` disables the sub-ISF memo everywhere.
-SUBMEMO_ENV = "REPRO_SUBMEMO"
-
-#: Byte budget of the process-warm layer (and the engine's per-run
-#: table); default 64 MiB.
-SUBMEMO_BYTES_ENV = "REPRO_SUBMEMO_BYTES"
-
-#: Force splice-time semantic verification on (``1``) or off (``0``).
-#: Unset, verification defaults to on under pytest and off elsewhere.
-SUBMEMO_VERIFY_ENV = "REPRO_SUBMEMO_VERIFY"
+from repro.config import current
 
 #: Directory of the persistent layer.  Falls back to ``REPRO_CACHE_DIR``
 #: when unset; when neither is set the memo stays in-process only (unit
@@ -67,8 +58,6 @@ SUBMEMO_DIR_ENV = "REPRO_SUBMEMO_DIR"
 #: ``host:port`` of a :mod:`repro.dist.cachenet` server to share the
 #: memo across hosts (read-through, write-behind).
 SUBMEMO_REMOTE_ENV = "REPRO_SUBMEMO_REMOTE"
-
-DEFAULT_BYTE_BUDGET = 64 * 1024 * 1024
 
 #: Entries larger than this are not stored: a giant tape is nearly as
 #: expensive to verify/splice as to recompute, and would evict hundreds
@@ -94,45 +83,6 @@ def input_ref(rank: int) -> int:
 def input_rank(ref: int) -> int:
     """Inverse of :func:`input_ref` (caller guarantees an input ref)."""
     return -ref - _REF_INPUT_BASE
-
-
-def code_tag() -> str:
-    """Algorithm-version tag folded into every sub-ISF key: a stale
-    entry recorded by an older engine must miss, exactly like the
-    job-level cache."""
-    from repro.runtime.cache import CACHE_CODE_VERSION
-    return f"{CACHE_CODE_VERSION}/submemo-{PAYLOAD_VERSION}"
-
-
-def _truthy(value: Optional[str], default: bool) -> bool:
-    if value is None:
-        return default
-    return value.strip().lower() not in ("", "0", "off", "false", "no")
-
-
-def submemo_enabled() -> bool:
-    """The :data:`SUBMEMO_ENV` switch (default on)."""
-    return _truthy(os.environ.get(SUBMEMO_ENV), True)
-
-
-def verify_enabled() -> bool:
-    """Splice-time semantic verification: forced by
-    :data:`SUBMEMO_VERIFY_ENV`, else on exactly under pytest."""
-    env = os.environ.get(SUBMEMO_VERIFY_ENV)
-    if env is not None:
-        return _truthy(env, True)
-    return "PYTEST_CURRENT_TEST" in os.environ
-
-
-def byte_budget() -> int:
-    """Warm-layer byte budget (:data:`SUBMEMO_BYTES_ENV`)."""
-    env = os.environ.get(SUBMEMO_BYTES_ENV)
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_BYTE_BUDGET
 
 
 # ---------------------------------------------------------------------
@@ -264,7 +214,7 @@ class SubMemoStore:
     def __init__(self, byte_limit: Optional[int] = None,
                  disk_root: "str | os.PathLike | None" = None,
                  remote: Optional[str] = None) -> None:
-        self.byte_limit = byte_budget() if byte_limit is None \
+        self.byte_limit = current().submemo_bytes if byte_limit is None \
             else byte_limit
         #: key -> (payload, size); insertion order == LRU order.
         self.warm: "OrderedDict[str, Tuple[Dict[str, Any], int]]" = \
@@ -374,26 +324,21 @@ _STORE: Optional[SubMemoStore] = None
 _STORE_SIG: Optional[Tuple] = None
 
 
-def _env_signature() -> Tuple:
-    return (os.getpid(),
-            os.environ.get(SUBMEMO_DIR_ENV),
-            os.environ.get("REPRO_CACHE_DIR"),
-            os.environ.get(SUBMEMO_REMOTE_ENV),
-            os.environ.get(SUBMEMO_BYTES_ENV))
-
-
 def default_store() -> SubMemoStore:
-    """The process-wide store, rebuilt when the environment (or the
-    process, after a fork — an inherited remote socket must not be
-    shared) changes.  The persistent layer activates only when
-    ``REPRO_SUBMEMO_DIR`` or ``REPRO_CACHE_DIR`` names a directory."""
+    """The process-wide store, rebuilt when its location, the byte
+    budget of the flow in force, or the process (after a fork — an
+    inherited remote socket must not be shared) changes.  The
+    persistent layer activates only when ``REPRO_SUBMEMO_DIR`` or
+    ``REPRO_CACHE_DIR`` names a directory."""
     global _STORE, _STORE_SIG
-    sig = _env_signature()
+    disk_root = os.environ.get(SUBMEMO_DIR_ENV) \
+        or os.environ.get("REPRO_CACHE_DIR") or None
+    remote = os.environ.get(SUBMEMO_REMOTE_ENV)
+    byte_limit = current().submemo_bytes
+    sig = (os.getpid(), disk_root, remote, byte_limit)
     if _STORE is None or sig != _STORE_SIG:
-        disk_root = os.environ.get(SUBMEMO_DIR_ENV) \
-            or os.environ.get("REPRO_CACHE_DIR") or None
-        _STORE = SubMemoStore(disk_root=disk_root,
-                              remote=os.environ.get(SUBMEMO_REMOTE_ENV))
+        _STORE = SubMemoStore(byte_limit=byte_limit, disk_root=disk_root,
+                              remote=remote)
         _STORE_SIG = sig
     return _STORE
 
@@ -408,11 +353,9 @@ def reset_default_store() -> None:
 
 
 __all__ = [
-    "SUBMEMO_ENV", "SUBMEMO_BYTES_ENV", "SUBMEMO_VERIFY_ENV",
     "SUBMEMO_DIR_ENV", "SUBMEMO_REMOTE_ENV", "PAYLOAD_VERSION",
-    "REF_CONST0", "REF_CONST1", "input_ref", "input_rank", "code_tag",
-    "submemo_enabled",
-    "verify_enabled", "byte_budget", "make_payload", "payload_bytes",
+    "REF_CONST0", "REF_CONST1", "input_ref", "input_rank",
+    "make_payload", "payload_bytes",
     "validate_payload", "payload_output_bdds", "SubMemoStore",
     "default_store", "reset_default_store",
 ]

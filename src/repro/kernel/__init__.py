@@ -25,11 +25,12 @@ package re-expresses those phases over *packed truth tables*
 Dispatch is transparent and *tiered*: the call sites in
 :mod:`repro.decomp.compat`, :mod:`repro.decomp.bound_set` and
 :mod:`repro.symmetry.groups` route through the kernel when the live
-support fits :func:`kernel_max_vars` (default 24, override with
-``REPRO_KERNEL_MAX_VARS``) and fall back to the BDD path otherwise.
-Within the kernel, supports up to :func:`kernel_tier1_max_vars`
-(default 16) use Python bignum masks (tier 1 — CPython's C bignum ops
-beat numpy call overhead on small tables) and wider supports use
+support fits ``FlowConfig.kernel_max_vars`` (default 24, override with
+``REPRO_KERNEL_MAX_VARS``; see :mod:`repro.config`) and fall back to the
+BDD path otherwise.  Within the kernel, supports up to
+``FlowConfig.kernel_tier1_max_vars`` (default 16) use Python bignum
+masks (tier 1 — CPython's C bignum ops beat numpy call overhead on
+small tables) and wider supports use
 multi-word ``numpy.uint64`` arrays (tier 2, :mod:`repro.kernel.bitset2`)
 — both tiers run the *same* cover/predicate code, so results are
 bit-identical by construction.  ``REPRO_KERNEL=off`` disables the
@@ -37,7 +38,7 @@ kernel entirely (escape hatch; the differential test suite in
 ``tests/kernel/`` proves all paths produce identical results).
 
 The symmetry ops additionally apply a *measured crossover*
-(:func:`kernel_symmetry_min_vars`, default 16): below it the BDD path
+(``FlowConfig.kernel_symmetry_min_vars``, default 16): below it the BDD path
 is faster (the table<->BDD conversion at the wrapper boundary dominates
 the predicate algebra), so dispatch declines without counting a miss.
 
@@ -48,9 +49,10 @@ versioned metrics document under ``"kernel"``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict
+
+from repro.config import DEFAULT_MAX_VARS, DEFAULT_TIER1_MAX_VARS, current
 
 try:  # numpy is a declared dependency, but the BDD path works without it.
     import numpy  # noqa: F401
@@ -58,29 +60,12 @@ try:  # numpy is a declared dependency, but the BDD path works without it.
 except ImportError:  # pragma: no cover - exercised only on broken installs
     AVAILABLE = False
 
-#: Default live-support cap for kernel dispatch (2**24 minterm tables,
-#: served by the tier-2 numpy word arrays past the tier-1 boundary).
-DEFAULT_MAX_VARS = 24
-
-#: Default tier-1 (bignum mask) boundary; wider supports go tier-2.
-DEFAULT_TIER1_MAX_VARS = 16
-
-#: Measured crossover for the symmetry ops: below this live-support
-#: width the BDD path is *usually* faster than lift/predicate/lower
-#: through the kernel (the conversion at the wrapper boundary
-#: dominates), so symmetry dispatch declines without counting a miss —
-#: unless the operands are dense enough that the BDD path pays per-node
-#: costs rivalling the whole packed table (see
-#: :data:`DEFAULT_SYMMETRY_DENSITY_FACTOR`).
-DEFAULT_SYMMETRY_MIN_VARS = 16
-
 #: Below-crossover profitability factor for the symmetry ops: a
 #: sub-``min_vars`` support is still served word-parallel when
 #: ``node_count * factor >= 2**num_live`` (table bits).  Dense small
 #: functions (a 10-var random table is ~400 joint nodes against 1024
 #: bits) win on masks — measured 1.2-1.3x over the BDD path — while
-#: sparse ones (where the BDD path is near-free) keep declining.  ``0``
-#: disables the rule, restoring the pure threshold crossover.
+#: sparse ones (where the BDD path is near-free) keep declining.
 DEFAULT_SYMMETRY_DENSITY_FACTOR = 3
 
 #: Tier-2 profitability factor: a tier-2 dispatch is served only when
@@ -94,97 +79,20 @@ DEFAULT_SYMMETRY_DENSITY_FACTOR = 3
 #: (~0.24 ms/knode BDD vs ~5.5 us/kword numpy on 20-var scoring).
 DEFAULT_COST_FACTOR = 64
 
-_OFF_VALUES = {"off", "0", "false", "no"}
-
-
-def _env_int(name: str) -> int:
-    """Integer env override, ``-1`` when unset or unparsable (callers
-    substitute their default).
-
-    Explicit negative values clamp to ``0`` — the smallest meaningful
-    cap — so a degenerate setting like ``REPRO_KERNEL_MAX_VARS=-5``
-    deterministically disables dispatch instead of silently restoring
-    the default (which would *widen* what the user tried to narrow).
-    """
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return -1
-
 
 def kernel_enabled() -> bool:
-    """Is kernel dispatch enabled?  (``REPRO_KERNEL=off`` disables it.)
-
-    The environment is read on every call so tests and the CLI's
-    ``--no-kernel`` can flip the switch mid-process.
-    """
-    if not AVAILABLE:
-        return False
-    return os.environ.get("REPRO_KERNEL", "").strip().lower() \
-        not in _OFF_VALUES
-
-
-def kernel_max_vars() -> int:
-    """Live-support cap for dispatch (``REPRO_KERNEL_MAX_VARS`` override).
-
-    Degenerate overrides get a sane clamp instead of misdispatch:
-    negative values behave as ``0`` (kernel never serves), unparsable
-    values fall back to the default.  A tier-1 override *larger* than
-    this cap is clamped down by :func:`kernel_tier1_max_vars`, so
-    ``tier_for`` always honours ``tier1 <= max``.
-    """
-    value = _env_int("REPRO_KERNEL_MAX_VARS")
-    return value if value >= 0 else DEFAULT_MAX_VARS
-
-
-def kernel_tier1_max_vars() -> int:
-    """Tier-1 (bignum) boundary; ``REPRO_KERNEL_TIER1_MAX_VARS`` override.
-
-    Never exceeds :func:`kernel_max_vars`, so lowering the overall cap
-    (e.g. ``REPRO_KERNEL_MAX_VARS=4``) keeps its historical meaning.
-    Setting the override to ``0`` forces every dispatch onto tier 2 —
-    the lever the three-way differential tests use.
-    """
-    value = _env_int("REPRO_KERNEL_TIER1_MAX_VARS")
-    if value < 0:
-        value = DEFAULT_TIER1_MAX_VARS
-    return min(value, kernel_max_vars())
-
-
-def kernel_symmetry_min_vars() -> int:
-    """Measured symmetry-op crossover
-    (``REPRO_KERNEL_SYMMETRY_MIN_VARS`` override; ``0`` = always kernel).
-    """
-    value = _env_int("REPRO_KERNEL_SYMMETRY_MIN_VARS")
-    return value if value >= 0 else DEFAULT_SYMMETRY_MIN_VARS
-
-
-def kernel_symmetry_density_factor() -> int:
-    """Below-crossover density rule for the symmetry ops
-    (``REPRO_KERNEL_SYMMETRY_DENSITY`` override; ``0`` disables the
-    rule and restores the pure ``min_vars`` threshold)."""
-    value = _env_int("REPRO_KERNEL_SYMMETRY_DENSITY")
-    return value if value >= 0 else DEFAULT_SYMMETRY_DENSITY_FACTOR
-
-
-def kernel_cost_model() -> bool:
-    """Is the tier-2 profitability model active?
-    (``REPRO_KERNEL_COST_MODEL=off`` serves every fitting support —
-    the lever the forced-tier-2 differential tests use.)
-    """
-    return os.environ.get("REPRO_KERNEL_COST_MODEL", "").strip().lower() \
-        not in _OFF_VALUES
+    """Is kernel dispatch enabled?  (numpy present and the flow in
+    force has ``kernel`` set; ``REPRO_KERNEL=off`` clears it.)"""
+    return AVAILABLE and current().kernel
 
 
 def tier_for(num_live_vars: int) -> int:
     """Kernel tier serving a live support: ``1`` (bignum masks), ``2``
     (numpy word arrays) or ``0`` (too wide — BDD fallback)."""
-    if num_live_vars <= kernel_tier1_max_vars():
+    flow = current()
+    if num_live_vars <= flow.kernel_tier1_max_vars:
         return 1
-    if num_live_vars <= kernel_max_vars():
+    if num_live_vars <= flow.kernel_max_vars:
         return 2
     return 0
 
@@ -230,12 +138,13 @@ class KernelStats:
                 "hits": self.op_hits.get(op, 0),
                 "misses": self.op_misses.get(op, 0),
             }
+        flow = current()
         return {
-            "enabled": kernel_enabled(),
-            "max_vars": kernel_max_vars(),
-            "tier1_max_vars": kernel_tier1_max_vars(),
-            "symmetry_min_vars": kernel_symmetry_min_vars(),
-            "cost_model": kernel_cost_model(),
+            "enabled": AVAILABLE and flow.kernel,
+            "max_vars": flow.kernel_max_vars,
+            "tier1_max_vars": flow.kernel_tier1_max_vars,
+            "symmetry_min_vars": flow.kernel_symmetry_min_vars,
+            "cost_model": flow.kernel_cost_model,
             "kernel_hits": self.hits,
             "kernel_misses": self.misses,
             "kernel_refine": self.op_hits.get("kernel_refine", 0),
@@ -269,17 +178,11 @@ __all__ = [
     "DEFAULT_COST_FACTOR",
     "DEFAULT_MAX_VARS",
     "DEFAULT_SYMMETRY_DENSITY_FACTOR",
-    "DEFAULT_SYMMETRY_MIN_VARS",
     "DEFAULT_TIER1_MAX_VARS",
     "KernelStats",
     "STATS",
-    "kernel_cost_model",
     "kernel_enabled",
-    "kernel_max_vars",
     "kernel_metrics",
-    "kernel_symmetry_density_factor",
-    "kernel_symmetry_min_vars",
-    "kernel_tier1_max_vars",
     "reset_kernel_stats",
     "tier_for",
 ]

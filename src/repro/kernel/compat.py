@@ -30,10 +30,10 @@ from repro.kernel import (
     AVAILABLE,
     DEFAULT_COST_FACTOR,
     STATS,
-    kernel_cost_model,
     kernel_enabled,
     tier_for,
 )
+from repro.config import current
 from repro.obs.profiler import profile_phase
 
 if AVAILABLE:
@@ -68,7 +68,7 @@ def tier2_profitable(bdd, outputs: Sequence[ISF], num_live: int) -> bool:
     functions (the 16-var cliff the benchmarks show) go tier 2.
     ``REPRO_KERNEL_COST_MODEL=off`` always serves (test lever).
     """
-    if not kernel_cost_model():
+    if not current().kernel_cost_model:
         return True
     roots = set()
     for isf in outputs:

@@ -27,14 +27,14 @@ an assignment pass that changes nothing (the common case) lowers by
 dictionary lookup instead of rebuilding the BDD bottom-up — profiling
 showed that rebuild dominating the whole dispatch at small supports.
 
-Past :func:`repro.kernel.kernel_tier1_max_vars` live variables the
+Past ``FlowConfig.kernel_tier1_max_vars`` live variables the
 masks are tier-2 :class:`repro.kernel.bitset2.Words` arrays instead of
 bignums; the selector/shift algebra is written against the operator set
 both share, so the predicate code below is tier-blind.  Below
-:func:`repro.kernel.kernel_symmetry_min_vars` (the measured crossover)
+``FlowConfig.kernel_symmetry_min_vars`` (the measured crossover)
 the wrapper-level dispatch declines — the BDD path is usually faster
 there — without counting a miss, unless the operands are dense enough
-(:func:`repro.kernel.kernel_symmetry_density_factor`) that per-node BDD
+(:data:`repro.kernel.DEFAULT_SYMMETRY_DENSITY_FACTOR`) that per-node BDD
 cost rivals the whole packed table.
 """
 
@@ -46,8 +46,8 @@ from repro.boolfunc.spec import ISF
 from repro.kernel import (
     AVAILABLE,
     STATS,
+    DEFAULT_SYMMETRY_DENSITY_FACTOR,
     kernel_enabled,
-    kernel_symmetry_density_factor,
     tier_for,
 )
 from repro.symmetry.isf_symmetry import SymmetryKind
@@ -283,10 +283,7 @@ def _dense_enough(bdd, isfs: Sequence[ISF], num_live: int) -> bool:
     path costs per *node* while the masks cost per *table*, so dense
     small functions — where the crossover's worst case never happens —
     are faster lifted (measured 1.2-1.3x at 10 vars) while sparse ones
-    keep declining.  Factor ``0`` disables the override."""
-    factor = kernel_symmetry_density_factor()
-    if not factor:
-        return False
+    keep declining."""
     roots = set()
     for isf in isfs:
         roots.add(isf.lo)
@@ -297,7 +294,8 @@ def _dense_enough(bdd, isfs: Sequence[ISF], num_live: int) -> bool:
     if nodes is None:
         nodes = bdd.node_count(*roots)
         cache_put(cache, key, nodes)
-    return nodes * factor >= (1 << num_live) * max(1, len(isfs))
+    return (nodes * DEFAULT_SYMMETRY_DENSITY_FACTOR
+            >= (1 << num_live) * max(1, len(isfs)))
 
 
 def bits_domain(bdd, isfs: Sequence[ISF], variables: Sequence[int],

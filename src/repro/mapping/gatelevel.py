@@ -359,7 +359,8 @@ def to_gates(net: LutNetwork) -> GateNetwork:
     return gnet
 
 
-def gate_synthesize(func: MultiFunction, use_dontcares: bool = True,
+def gate_synthesize(func: MultiFunction,
+                    use_dontcares: Optional[bool] = None,
                     **engine_kwargs) -> GateNetwork:
     """Decompose to 3-input blocks, then realise with two-input gates.
 

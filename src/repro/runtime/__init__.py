@@ -29,7 +29,6 @@ Quickstart::
 """
 
 from repro.runtime.cache import (
-    CACHE_CODE_VERSION,
     CACHE_FORMAT_VERSION,
     ResultCache,
     cache_key,
@@ -86,7 +85,6 @@ __all__ = [
     "BatchScheduler",
     "JobResult",
     "ResultCache",
-    "CACHE_CODE_VERSION",
     "CACHE_FORMAT_VERSION",
     "cache_key",
     "default_cache_dir",

@@ -2,9 +2,11 @@
 
 Results are content-addressed: the key is a SHA-256 over the function's
 :meth:`~repro.boolfunc.spec.MultiFunction.canonical_key` (so renaming a
-benchmark or re-reading the same PLA hits the same entry), the flow and
-engine configuration, and a code-version tag that invalidates the whole
-cache when the algorithms change.  Entries live one-per-file under a
+benchmark or re-reading the same PLA hits the same entry) and the
+:func:`~repro.config.config_key` text of the job's flow and config — the
+output-affecting settings a :class:`~repro.config.FlowConfig` encodes,
+plus the code version (a hash of the engine sources) that invalidates
+the whole cache when the algorithms change.  Entries live one-per-file under a
 two-level sharded directory; an in-memory LRU front absorbs repeated
 lookups within a process.
 
@@ -34,14 +36,11 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, Optional
 
+from repro.config import config_key
 from repro.faults import FaultInjected, fault_point
 
 #: Bump to invalidate every persisted entry (layout changes).
 CACHE_FORMAT_VERSION = 1
-
-#: Tag mixed into every key; bump when engine/mapping output can change
-#: for the same input (a stale hit would silently misreport results).
-CACHE_CODE_VERSION = "repro-1.0.0/runtime-1"
 
 #: Environment override for the default on-disk location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -102,13 +101,9 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(func_key: str, flow: str, config: Dict[str, Any]) -> str:
-    """Combine function content, flow and engine config into one key."""
-    blob = json.dumps({
-        "func": func_key,
-        "flow": flow,
-        "config": config,
-        "code": CACHE_CODE_VERSION,
-    }, sort_keys=True, separators=(",", ":")).encode()
+    """Combine function content with the job's flow and config (a
+    :meth:`~repro.config.FlowConfig.job_config` dict) into one key."""
+    blob = f"{func_key}\n{config_key(flow, config)}".encode()
     return hashlib.sha256(blob).hexdigest()
 
 

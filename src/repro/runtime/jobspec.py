@@ -7,6 +7,12 @@ manifest describes::
     {"job_id": "rd84", "source": {"kind": "benchmark", "name": "rd84"},
      "flow": "map", "config": {"use_dontcares": True}, ...}
 
+``config`` is a :meth:`~repro.config.FlowConfig.job_config` dict: the
+output-affecting settings that differ from their defaults.  A worker
+runs the job under exactly those (:meth:`FlowConfig.from_job
+<repro.config.FlowConfig.from_job>`), whatever its own environment
+says, so a result always matches the cache key it is stored under.
+
 Workers never share BDD managers with the parent: a worker builds the
 function from the job's ``wire`` payload (a
 :meth:`~repro.boolfunc.spec.MultiFunction.to_wire` dump, preferred) or
@@ -41,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import faults
 from repro.boolfunc.spec import MultiFunction
+from repro.config import FlowConfig
 from repro.obs.profiler import current_phase_snapshot, pulse, pulse_count
 
 #: Networks above this LUT count are verified by random simulation
@@ -53,14 +60,16 @@ _GENERATOR_PREFIXES = ("adder", "pm")
 def make_job(source: Dict[str, Any], *, job_id: Optional[str] = None,
              flow: str = "map", config: Optional[Dict[str, Any]] = None,
              test_hook: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble a job dict (the scheduler's input unit)."""
+    """Assemble a job dict (the scheduler's input unit); ``config`` is
+    re-encoded by :meth:`FlowConfig.job_config`, so equal settings key
+    equally and an unknown setting is refused here."""
     if flow not in ("map", "compare"):
         raise ValueError(f"unknown flow {flow!r} (use 'map' or 'compare')")
     return {
         "job_id": job_id or source_label(source),
         "source": source,
         "flow": flow,
-        "config": dict(config or {}),
+        "config": FlowConfig().apply(config).job_config(flow),
         "test_hook": test_hook,
     }
 
@@ -260,10 +269,7 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
     _apply_test_hook(job.get("test_hook"), attempt)
     func = (build or job_function)(job)
     pulse()  # liveness checkpoint: function built, flow starting
-    config = job.get("config") or {}
-    verify = config.get("verify", True)
-    engine_cfg = {k: config[k] for k in
-                  ("time_budget", "node_budget") if config.get(k)}
+    flow = FlowConfig.from_job(job.get("config"))
     from repro.core.api import map_to_xc3000
     submemo_counts: Dict[str, int] = {}
 
@@ -272,8 +278,8 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
             submemo_counts[name] = submemo_counts.get(name, 0) + count
 
     if job.get("flow") == "compare":
-        baseline = map_to_xc3000(func, use_dontcares=False, **engine_cfg)
-        with_dc = map_to_xc3000(func, use_dontcares=True, **engine_cfg)
+        baseline = map_to_xc3000(func, use_dontcares=False, flow=flow)
+        with_dc = map_to_xc3000(func, use_dontcares=True, flow=flow)
         _tally_submemo(baseline)
         _tally_submemo(with_dc)
         record = {
@@ -281,16 +287,14 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
             "mulop_dc": with_dc.to_record(),
             "clbs_saved": baseline.clb_count - with_dc.clb_count,
         }
-        if verify:
+        if flow.verify:
             record["verified"] = (_verify_record(func, baseline)
                                   and _verify_record(func, with_dc))
     else:
-        result = map_to_xc3000(
-            func, use_dontcares=config.get("use_dontcares", True),
-            **engine_cfg)
+        result = map_to_xc3000(func, flow=flow)
         _tally_submemo(result)
         record = result.to_record()
-        if verify:
+        if flow.verify:
             record["verified"] = _verify_record(func, result)
     if record.get("verified") is False:
         # A mapped network that fails verification must never be cached

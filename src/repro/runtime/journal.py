@@ -15,10 +15,11 @@ jobs that were in flight::
 * The **header** binds the journal to its workload: ``jobs`` carries the
   full job dicts (so ``repro batch --resume <journal>`` is
   self-contained — no manifest needed), and ``binding`` is a SHA-256
-  over those jobs plus the runtime code version
-  (:func:`journal_binding`).  Resuming against a different manifest or a
-  different code version is refused — replaying half a batch under
-  changed semantics would silently mix incomparable rows.
+  over those jobs plus the code version (a hash of the engine sources,
+  :func:`repro.config.code_version`; :func:`journal_binding`).
+  Resuming against a different manifest or a different code version is
+  refused — replaying half a batch under changed semantics would
+  silently mix incomparable rows.
 * **start** records mark dispatch; a start without a matching done is a
   job that was *in flight* when the parent died — resume re-runs it.
 * **done** records carry the full result row; resume skips these jobs
@@ -50,15 +51,11 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.config import code_version, config_key
 from repro.faults import fault_point
-from repro.runtime.cache import CACHE_CODE_VERSION
 
 #: Bump on layout changes; resume refuses mismatched journals.
 JOURNAL_VERSION = 1
-
-#: Job-dict keys covered by the binding hash (``wire`` payloads are
-#: derived state and excluded).
-_BINDING_KEYS = ("job_id", "source", "flow", "config", "test_hook")
 
 
 class JournalError(ValueError):
@@ -66,14 +63,19 @@ class JournalError(ValueError):
 
 
 def journal_binding(jobs: List[Dict[str, Any]]) -> str:
-    """SHA-256 binding a job list + runtime code version.
+    """SHA-256 binding a job list + the code version.
 
     Deterministic across processes: only the declarative job fields are
-    hashed, with sorted keys.
+    hashed (``wire`` payloads are derived state), each job's flow and
+    config through the same :func:`~repro.config.config_key` text its
+    cache key uses.
     """
-    view = [{key: job.get(key) for key in _BINDING_KEYS} for job in jobs]
-    blob = json.dumps({"jobs": view, "code": CACHE_CODE_VERSION},
-                      sort_keys=True, separators=(",", ":")).encode()
+    view = [{"job_id": job.get("job_id"), "source": job.get("source"),
+             "test_hook": job.get("test_hook"),
+             "key": config_key(job.get("flow"), job.get("config"))}
+            for job in jobs]
+    blob = json.dumps(view, sort_keys=True,
+                      separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -112,7 +114,7 @@ class BatchJournal:
             "kind": "header",
             "journal_version": JOURNAL_VERSION,
             "binding": journal_binding(jobs),
-            "code_version": CACHE_CODE_VERSION,
+            "code_version": code_version(),
             "jobs": [_strip_wire(job) for job in jobs],
         })
         return journal
@@ -198,11 +200,11 @@ def load_journal(path: str) -> Tuple[Dict[str, Any],
                     raise JournalError(
                         f"{path}: not a batch journal (bad or missing "
                         f"header)")
-                if record.get("code_version") != CACHE_CODE_VERSION:
+                if record.get("code_version") != code_version():
                     raise JournalError(
                         f"{path}: journal was written by code version "
                         f"{record.get('code_version')!r}, this is "
-                        f"{CACHE_CODE_VERSION!r} — results would not be "
+                        f"{code_version()!r} — results would not be "
                         f"comparable; rerun the batch from scratch")
                 header = record
                 continue

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
+from repro.config import FlowConfig
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.pool import (
@@ -510,13 +511,14 @@ def degraded_record(job: Dict[str, Any],
     from repro.core.api import map_to_xc3000
     if func is None:
         func = jobspec.build_function(job["source"])
-    config = job.get("config") or {}
-    fallback = map_to_xc3000(func, use_dontcares=False, time_budget=0.0)
+    flow = FlowConfig.from_job(job.get("config"))
+    fallback = map_to_xc3000(func, flow=flow, use_dontcares=False,
+                             time_budget=0.0)
     record = fallback.to_record()
     record["degraded"] = True
     if job.get("flow") == "compare":
         record = {"mulopII": dict(record), "mulop_dc": dict(record),
                   "clbs_saved": 0, "degraded": True}
-    elif config.get("verify", True):
+    elif flow.verify:
         record["verified"] = jobspec._verify_record(func, fallback)
     return record

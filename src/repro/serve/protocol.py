@@ -27,6 +27,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from repro.config import FlowConfig
+
 #: Frame/body ceiling (bytes) unless overridden per daemon.
 MAX_FRAME_ENV = "REPRO_SERVE_MAX_FRAME_BYTES"
 DEFAULT_MAX_FRAME_BYTES = 4 * 1024 * 1024
@@ -138,24 +140,15 @@ class ServeRequest:
     retries: Optional[int] = None
     test_hook: Optional[str] = None
 
-    def job_config(self) -> Dict[str, Any]:
-        """The job/cache config dict, normalized exactly like the batch
-        CLI so identical work shares cache entries across tiers.
-
-        ``compare`` runs both drivers, so ``use_dontcares`` never enters
-        its config; defaults (``verify=True``) are omitted rather than
-        written, matching ``repro map --cache`` keys.
+    def job_config(self, base: Optional[FlowConfig] = None
+                   ) -> Dict[str, Any]:
+        """The job/cache config dict: the request's config laid over the
+        daemon's own flow (``base``, default the built-in settings) and
+        encoded by :meth:`FlowConfig.job_config` — the same encoding the
+        CLI uses, so identical work shares cache entries across tiers.
         """
-        config: Dict[str, Any] = {}
-        if self.flow != "compare":
-            config["use_dontcares"] = self.config.get("use_dontcares",
-                                                      True)
-        if self.config.get("verify", True) is False:
-            config["verify"] = False
-        for key in ("time_budget", "node_budget"):
-            if self.config.get(key):
-                config[key] = self.config[key]
-        return config
+        return (base or FlowConfig()).apply(self.config) \
+            .job_config(self.flow)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
+from repro.config import current
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.pool import (
@@ -137,6 +138,9 @@ class DecompositionService:
         self.timeout = timeout
         self.retries = max(0, min(retries, MAX_RETRIES))
         self.retry_backoff_s = retry_backoff_s
+        #: The daemon's own flow; its output-affecting settings are
+        #: folded into every request's job config.
+        self.flow = current()
         self._inflight: Dict[str, _Flight] = {}
         self._busy = 0
         self._draining = False
@@ -166,7 +170,7 @@ class DecompositionService:
         loop = asyncio.get_running_loop()
         job = jobspec.make_job(request.source, job_id=request.id or None,
                               flow=request.flow,
-                              config=request.job_config(),
+                              config=request.job_config(self.flow),
                               test_hook=request.test_hook)
 
         # Parent-side build: same suppressed-faults policy as the batch

@@ -31,8 +31,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
+from repro.config import current
 from repro.kernel import STATS as KERNEL_STATS
-from repro.kernel import kernel_symmetry_min_vars
 from repro.symmetry.isf_symmetry import (
     BddIsfOps,
     SymmetryKind,
@@ -53,17 +53,17 @@ def symmetry_domain(bdd: BDD, isfs: Sequence[ISF],
     Returns ``(ops, handles)``: the kernel adapter with lifted handles
     when the live support of ``isfs`` plus ``variables`` fits the
     kernel's cap *and* clears the measured crossover
-    (:func:`repro.kernel.kernel_symmetry_min_vars` — below it the BDD
+    (``FlowConfig.kernel_symmetry_min_vars`` — below it the BDD
     path usually wins because the lift/lower conversion dominates,
     unless the operands are dense enough that per-node BDD cost rivals
     the packed table; see
-    :func:`repro.kernel.kernel_symmetry_density_factor`), otherwise
+    :data:`repro.kernel.DEFAULT_SYMMETRY_DENSITY_FACTOR`), otherwise
     the BDD adapter with the ISFs unchanged.  Misses are counted under
     ``op``; declining below the crossover is not a miss.
     """
     if bits_domain is not None:
         domain = bits_domain(bdd, isfs, variables, op,
-                             min_vars=kernel_symmetry_min_vars())
+                             min_vars=current().kernel_symmetry_min_vars)
         if domain is not None:
             return domain
     return BddIsfOps(bdd), list(isfs)
@@ -136,12 +136,6 @@ def _try_merge_ops(ops: Any, f: Any, group: List[int], var: int,
                                           extended[j], kind):
                 return None
     return candidate
-
-
-def _try_merge(bdd: BDD, isf: ISF, group: List[int], var: int,
-               kind: SymmetryKind) -> Optional[ISF]:
-    """BDD-domain :func:`_try_merge_ops` (kept for tests/direct callers)."""
-    return _try_merge_ops(BddIsfOps(bdd), isf, group, var, kind)
 
 
 def _assign_for_symmetry(ops: Any, f: Any, variables: Sequence[int],

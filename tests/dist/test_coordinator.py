@@ -114,7 +114,8 @@ class TestStealing:
         2 — computed, not guessed, so the test is deterministic."""
         picked = []
         for name in ("xor5", "rd53", "majority", "rd73", "rd84", "9sym",
-                     "con1", "misex1", "squar5", "z4ml"):
+                     "misex1", "z4ml", "f51m", "5xp1", "clip", "adder2",
+                     "adder3", "adder4", "adder5", "adder6"):
             job = make_job(source_from_name(name))
             func = jobspec.build_function(job["source"])
             key = cache_key(func.canonical_key(), job["flow"],

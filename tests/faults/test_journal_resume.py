@@ -21,7 +21,7 @@ from repro.runtime import (
     make_job,
     source_from_name,
 )
-from repro.runtime.cache import CACHE_CODE_VERSION
+from repro.config import code_version
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::DeprecationWarning")  # fork-in-multithreaded on 3.12
@@ -144,7 +144,7 @@ class TestJournalFormat:
         jobs = _jobs("rd53")
         binding = journal_binding(jobs)
         assert binding == journal_binding([dict(j) for j in jobs])
-        assert CACHE_CODE_VERSION  # the binding would change with it
+        assert code_version()  # the binding would change with it
         different = _jobs("xor5")
         assert binding != journal_binding(different)
 

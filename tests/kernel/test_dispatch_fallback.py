@@ -82,7 +82,6 @@ class TestPartitionCacheDegrades:
     from-scratch scoring with identical results."""
 
     def _reference(self, bdd, outputs, variables, p):
-        from repro.kernel import _OFF_VALUES  # noqa: F401
         import os
         old = os.environ.get("REPRO_KERNEL")
         os.environ["REPRO_KERNEL"] = "off"

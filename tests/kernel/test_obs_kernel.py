@@ -8,13 +8,13 @@ from repro.bdd.manager import BDD
 from repro.bdd.symmetry import equivalence_symmetric_in, symmetric_in
 from repro.bench.registry import benchmark
 from repro.boolfunc.spec import ISF
+from repro.config import FlowConfig
 from repro.core.api import map_to_xc3000
 from repro.decomp import cover
 from repro.kernel import (
     STATS,
     KernelStats,
     kernel_enabled,
-    kernel_max_vars,
     reset_kernel_stats,
 )
 from repro.obs.metrics import profile_report, run_metrics
@@ -49,9 +49,9 @@ class TestKernelStats:
         monkeypatch.setenv("REPRO_KERNEL", "on")
         assert kernel_enabled()
         monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "9")
-        assert kernel_max_vars() == 9
+        assert FlowConfig.from_env().kernel_max_vars == 9
         monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "junk")
-        assert kernel_max_vars() == 24
+        assert FlowConfig.from_env().kernel_max_vars == 24
 
 
 class TestMetricsDocument:

@@ -1,6 +1,7 @@
 """Tier configuration under degenerate env overrides and CLI precedence.
 
-``tier_for`` must honour ``0 <= tier1 <= max`` for *any* environment:
+``FlowConfig.from_env`` parses the kernel knobs; ``tier_for`` must
+honour ``0 <= tier1 <= max`` for *any* environment:
 negative caps clamp to 0 (kernel never serves — the narrowest reading
 of what the user asked for), unparsable values fall back to defaults,
 and a tier-1 override above the overall cap is clamped down, never up.
@@ -16,13 +17,16 @@ except ImportError:  # pragma: no cover
     HAVE_HYPOTHESIS = False
 
 from repro.cli import main
-from repro.kernel import (
-    DEFAULT_MAX_VARS,
-    DEFAULT_TIER1_MAX_VARS,
-    kernel_max_vars,
-    kernel_tier1_max_vars,
-    tier_for,
-)
+from repro.config import FlowConfig
+from repro.kernel import DEFAULT_MAX_VARS, DEFAULT_TIER1_MAX_VARS, tier_for
+
+
+def kernel_max_vars():
+    return FlowConfig.from_env().kernel_max_vars
+
+
+def kernel_tier1_max_vars():
+    return FlowConfig.from_env().kernel_tier1_max_vars
 
 
 class TestDegenerateOverrides:
@@ -93,16 +97,29 @@ if HAVE_HYPOTHESIS:
 
 
 class TestCliPrecedence:
-    def test_cli_flag_beats_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "4")
-        assert main(["map", "rd73", "--kernel-max-vars", "20"]) == 0
-        import os
-        assert os.environ["REPRO_KERNEL_MAX_VARS"] == "20"
-        assert kernel_max_vars() == 20
+    """The CLI lays its flags over the environment's flow without
+    writing the environment; the run's metrics report what it used."""
 
-    def test_env_used_without_flag(self, monkeypatch, capsys):
+    def _kernel_block(self, tmp_path, argv):
+        import json
+        out = str(tmp_path / "m.json")
+        assert main(argv + ["--metrics-out", out]) == 0
+        with open(out) as handle:
+            return json.load(handle)["kernel"]
+
+    def test_cli_flag_beats_env(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "4")
+        block = self._kernel_block(
+            tmp_path, ["map", "rd73", "--kernel-max-vars", "20"])
+        assert block["max_vars"] == 20
+        import os
+        assert os.environ["REPRO_KERNEL_MAX_VARS"] == "4"
+        assert kernel_max_vars() == 4
+
+    def test_env_used_without_flag(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "6")
-        assert main(["map", "rd73"]) == 0
+        block = self._kernel_block(tmp_path, ["map", "rd73"])
+        assert block["max_vars"] == 6
         assert kernel_max_vars() == 6
 
     def test_negative_cli_value_is_a_clean_error(self, monkeypatch):
@@ -112,8 +129,9 @@ class TestCliPrecedence:
         assert "--kernel-max-vars" in str(exc.value)
         assert "REPRO_KERNEL_MAX_VARS" not in __import__("os").environ
 
-    def test_no_dsd_flag_sets_env(self, monkeypatch, capsys):
+    def test_no_dsd_flag_leaves_env_alone(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_DSD", raising=False)
         assert main(["map", "rd73", "--no-dsd"]) == 0
         import os
-        assert os.environ["REPRO_DSD"] == "off"
+        assert "REPRO_DSD" not in os.environ
+        assert FlowConfig.from_env().use_dsd
